@@ -9,25 +9,45 @@ import (
 	"loongserve/internal/workload"
 )
 
-// TestFleetQuickGolden is the backward-compat anchor of the composition
-// refactor: the two pre-existing -exp fleet tables, rendered serially at
-// quick scale, must stay byte-identical to the output of the
-// pre-refactor tree (testdata/fleet_quick.golden, captured before
-// ReplicaKind/Groups existed). The homogeneous Spec+Replicas path is a
-// shim over the heterogeneous composition API, and this test is what
-// "bit-identical" means.
+// TestFleetQuickGolden pins the routing outputs byte for byte: each
+// experiment, rendered serially at quick scale, must reproduce its golden
+// table. fleet_quick.golden predates ReplicaKind/Groups (the homogeneous
+// Spec+Replicas path is a shim over the composition API); the others pin
+// the capability-blind ablation, ContentAffinity over the directory, and
+// routing under chaos and autoscaling, so a change to any affinity preset
+// shows here. Regenerate a golden only for an intended output change.
 func TestFleetQuickGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/fleet_quick.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := QuickScale()
-	sc.Workers = 1
-	var buf bytes.Buffer
-	FleetExperiment(sc).Fprint(&buf)
-	FleetCacheExperiment(sc).Fprint(&buf)
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("quick -exp fleet output diverged from the pre-refactor golden\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+	for _, c := range []struct {
+		golden string
+		render func(sc Scale, w *bytes.Buffer)
+	}{
+		{"fleet_quick.golden", func(sc Scale, w *bytes.Buffer) {
+			FleetExperiment(sc).Fprint(w)
+			FleetCacheExperiment(sc).Fprint(w)
+		}},
+		{"fleet_hetero_quick.golden", func(sc Scale, w *bytes.Buffer) { FleetHeteroExperiment(sc).Fprint(w) }},
+		{"fleet_attribution_quick.golden", func(sc Scale, w *bytes.Buffer) { FleetAttributionExperiment(sc).Fprint(w) }},
+		{"fleet_cachedir_quick.golden", func(sc Scale, w *bytes.Buffer) { FleetCacheDirExperiment(sc).Fprint(w) }},
+		{"fleet_chaos_quick.golden", func(sc Scale, w *bytes.Buffer) { FleetChaosExperiment(sc).Fprint(w) }},
+		{"autoscale_quick.golden", func(sc Scale, w *bytes.Buffer) {
+			for _, tab := range AutoscaleExperiment(sc) {
+				tab.Fprint(w)
+			}
+		}},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/" + c.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := QuickScale()
+			sc.Workers = 1
+			var buf bytes.Buffer
+			c.render(sc, &buf)
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("quick output diverged from testdata/%s\n--- got ---\n%s\n--- want ---\n%s", c.golden, buf.Bytes(), want)
+			}
+		})
 	}
 }
 
