@@ -83,3 +83,20 @@ func TestShardBufSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("shard buffer fill/reset cycle allocates %.1f per run, want 0", avg)
 	}
 }
+
+func TestAffinityPickZeroAllocs(t *testing.T) {
+	req := RequestInfo{InputLen: 4000, SessionKey: SessionKey(5), PrefixLen: 3500}
+	vs := views(&fakeReplica{tokens: 50_000, cached: 3500, session: 3500}, &fakeReplica{}, &fakeReplica{tokens: 100})
+	var m Migrator = fixedMigrator{cost: 500}
+	for _, p := range []Policy{NewPrefixAffinity(), NewMigratingAffinity(), NewCapabilityAffinity(), NewContentAffinity()} {
+		if avg := testing.AllocsPerRun(100, func() {
+			if ma, ok := p.(MigrationAware); ok {
+				ma.PickMigrate(req, vs, m)
+			} else {
+				p.Pick(req, vs)
+			}
+		}); avg != 0 {
+			t.Errorf("%s pick allocates %.1f per run, want 0", p.Name(), avg)
+		}
+	}
+}

@@ -19,7 +19,12 @@
 // routing policies trade off: sticking a session to its warm replica
 // minimizes recomputation, spreading minimizes queueing — the same
 // cache-affinity-vs-load balance studied by the arodland/loadbalance
-// simulation, here measured in KV tokens on the paper's cost model.
+// simulation, here measured in KV tokens on the paper's cost model. The
+// cache-affinity policies (PrefixAffinity, MigratingAffinity,
+// CapabilityAffinity, ContentAffinity) are presets of one scorer that
+// prices it as prefill miss plus load-weighted outstanding tokens; they
+// differ only in capability awareness, migration, overlap source and
+// load weight (policy.go).
 //
 // The fleet is elastic (gateway.go): replicas can be provisioned at
 // runtime (with a warm-up delay before they take traffic) and drained —
@@ -402,7 +407,7 @@ func RunGroups(trace []workload.TimedRequest, cfg Config) (*Result, error) {
 
 // runTrace stages a static trace's arrivals, runs the simulator to
 // completion and finalizes, converting engine OOM panics to errors.
-func runTrace(g *Gateway, sim *simevent.Sim, trace []workload.TimedRequest) (res *Result, err error) {
+func runTrace(g *Gateway, sim *simevent.Sim, trace []workload.TimedRequest) (*Result, error) {
 	for i, tr := range trace {
 		r := &serving.Request{
 			ID:        kvcache.RequestID(i + 1),
@@ -415,11 +420,20 @@ func runTrace(g *Gateway, sim *simevent.Sim, trace []workload.TimedRequest) (res
 		sim.Stage(r.Arrival, func() { g.Submit(r, entry) })
 	}
 
+	return runToEnd(g, "requests", func() (int, int) { return g.Completed(), len(trace) }, nil)
+}
+
+// runToEnd is the shared tail of every static run: it runs g's simulator
+// to completion and finalizes, converting an engine OOM panic into the
+// returned error. progress reports the feed's completed and total
+// requests, which must match at the end (what names them in the error);
+// trace, when non-nil, is the feed's emitted trace, attached to the
+// result.
+func runToEnd(g *Gateway, what string, progress func() (completed, total int), trace *[]workload.TimedRequest) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			if oom, ok := p.(*serving.ErrOOM); ok {
-				err = oom
-				res = nil
+				res, err = nil, oom
 				return
 			}
 			panic(p)
@@ -427,8 +441,12 @@ func runTrace(g *Gateway, sim *simevent.Sim, trace []workload.TimedRequest) (res
 	}()
 	g.runLoop()
 
-	if g.Completed() != len(trace) {
-		return nil, fmt.Errorf("fleet: %d of %d requests completed (policy %s)", g.Completed(), len(trace), g.PolicyName())
+	if done, total := progress(); done != total {
+		return nil, fmt.Errorf("fleet: %d of %d %s completed (policy %s)", done, total, what, g.PolicyName())
 	}
-	return g.Finalize(), nil
+	res = g.Finalize()
+	if trace != nil {
+		res.Trace = *trace
+	}
+	return res, nil
 }

@@ -145,59 +145,6 @@ func (p *PowerOfTwoChoices) Pick(_ RequestInfo, replicas []ReplicaView) int {
 	return a
 }
 
-// PrefixAffinity scores every replica by the work routing there would
-// cost: the prefill tokens the replica must actually compute (prompt minus
-// its prefix-cache hit) plus its current outstanding load, weighted by
-// LoadWeight. New sessions hash to a stable home replica so that the turns
-// and sibling sessions that follow find warm caches, but a sufficiently
-// loaded home loses to a cold, idle replica — the cache-affinity-vs-load
-// balance the arodland/loadbalance simulation studies.
-type PrefixAffinity struct {
-	// LoadWeight converts outstanding tokens into score units relative to
-	// prefill tokens. 1.0 treats a queued token and a cold prefill token
-	// as equally costly; higher values favor load balance over affinity.
-	LoadWeight float64
-}
-
-// NewPrefixAffinity returns the policy with LoadWeight 1.
-func NewPrefixAffinity() *PrefixAffinity { return &PrefixAffinity{LoadWeight: 1} }
-
-// Name implements Policy.
-func (p *PrefixAffinity) Name() string { return "PrefixAffinity" }
-
-// homeIndex hashes the request's stickiest available key to a replica.
-func (p *PrefixAffinity) homeIndex(req RequestInfo, n int) int {
-	key := req.SessionKey
-	if key == 0 {
-		key = req.SharedKey
-	}
-	if key == 0 {
-		return -1
-	}
-	return int(mix64(uint64(key)) % uint64(n))
-}
-
-// Pick implements Policy.
-func (p *PrefixAffinity) Pick(req RequestInfo, replicas []ReplicaView) int {
-	n := len(replicas)
-	home := p.homeIndex(req, n)
-	best, bestScore := -1, 0.0
-	for i, r := range replicas {
-		miss := req.InputLen - r.CachedTokens(req)
-		if miss < 0 {
-			miss = 0
-		}
-		score := float64(miss) + p.LoadWeight*float64(r.OutstandingTokens())
-		// The hashed home wins ties (cold caches, equal load), which is
-		// what plants a new session — and its whole prompt group — on a
-		// stable replica instead of wherever index order says.
-		if best == -1 || score < bestScore || (score == bestScore && i == home) {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
-
 // Migrator is the gateway-side cost oracle handed to MigrationAware
 // policies: it converts a KV transfer into the prefill-token units policy
 // scores are denominated in.
@@ -230,289 +177,6 @@ type MigrationAware interface {
 	PickMigrate(req RequestInfo, replicas []ReplicaView, m Migrator) Decision
 }
 
-// MigratingAffinity is PrefixAffinity extended with the migrate-vs-
-// recompute decision: it scores every replica as PrefixAffinity does, and
-// additionally scores migrating the session's KV from its warmest holder
-// to each other replica — the transfer priced by the gateway's cost model
-// (Migrator) in prefill-token equivalents. Migration wins exactly when the
-// load gap between the warm home and an idle replica exceeds the link
-// cost, which is LoongServe's multi-replica analogue of choosing KV
-// movement over recomputation.
-type MigratingAffinity struct {
-	PrefixAffinity
-}
-
-// NewMigratingAffinity returns the policy with LoadWeight 1.
-func NewMigratingAffinity() *MigratingAffinity {
-	return &MigratingAffinity{PrefixAffinity{LoadWeight: 1}}
-}
-
-// Name implements Policy.
-func (p *MigratingAffinity) Name() string { return "MigratingAffinity" }
-
-// PickMigrate implements MigrationAware.
-func (p *MigratingAffinity) PickMigrate(req RequestInfo, replicas []ReplicaView, m Migrator) Decision {
-	n := len(replicas)
-	home := p.homeIndex(req, n)
-	best, bestScore := -1, 0.0
-	for i, r := range replicas {
-		miss := req.InputLen - r.CachedTokens(req)
-		if miss < 0 {
-			miss = 0
-		}
-		score := float64(miss) + p.LoadWeight*float64(r.OutstandingTokens())
-		if best == -1 || score < bestScore || (score == bestScore && i == home) {
-			best, bestScore = i, score
-		}
-	}
-	if req.SessionKey == 0 || n < 2 {
-		return Decision{Dest: best, From: -1}
-	}
-	// The migration source is the replica holding the most of this
-	// session's KV; nothing to move if the session is cold everywhere.
-	src, cached := -1, 0
-	for i, r := range replicas {
-		if c := r.SessionTokens(req); c > cached {
-			src, cached = i, c
-		}
-	}
-	if src < 0 || src == best {
-		return Decision{Dest: best, From: -1}
-	}
-	migCost := m.MigrationTokenCost(cached)
-	miss := req.InputLen - cached
-	if miss < 0 {
-		miss = 0
-	}
-	migBest, migBestScore := -1, 0.0
-	for i, r := range replicas {
-		if i == src {
-			continue
-		}
-		s := float64(miss) + migCost + p.LoadWeight*float64(r.OutstandingTokens())
-		if migBest == -1 || s < migBestScore {
-			migBest, migBestScore = i, s
-		}
-	}
-	// Hysteresis: a move must beat staying by more than its own transfer
-	// cost, or marginal load differences make sessions ping-pong between
-	// replicas (each bounce paying the link for nothing).
-	if migBest >= 0 && migBestScore+migCost < bestScore {
-		return Decision{Dest: migBest, From: src}
-	}
-	return Decision{Dest: best, From: -1}
-}
-
-// DefaultCapabilityHeadroom is the fraction of a replica's MaxContext a
-// request's prompt may comfortably occupy before CapabilityAffinity stops
-// routing there: a session needs room to grow across turns and to coexist
-// with other residents, so a prompt at, say, 80% of a small replica's
-// whole pool belongs on a longer-context kind even though it would
-// technically fit.
-const DefaultCapabilityHeadroom = 0.5
-
-// CapabilityAffinity is heterogeneity-aware routing: every replica is
-// scored by the *cost* of serving the request there — predicted service
-// seconds (the prefill miss plus queued work, at the replica kind's
-// cost-model prefill rate) weighted by the kind's provisioning cost. Long
-// prompts flow to long-context kinds because small kinds are ineligible
-// (the prompt would not comfortably fit their KV envelope) or slow; short
-// prompts flow to cheap kinds because a short request takes nearly the
-// same time anywhere and the cheap replica's seconds cost less; prefix
-// affinity and load balance fall out of the same score (a warm cache
-// shrinks the miss, a deep queue grows the wait), with the hashed session
-// home breaking cold ties exactly as PrefixAffinity does. It composes the
-// MigratingAffinity decision: session KV migrates to a capability-eligible
-// replica when the link seconds beat the recompute they avoid.
-//
-// On a homogeneous fleet every replica shares one capability sheet, so the
-// score reduces to (miss + LoadWeight*outstanding) times a constant —
-// PrefixAffinity's ordering exactly.
-type CapabilityAffinity struct {
-	// LoadWeight converts outstanding tokens into score units relative to
-	// prefill tokens, as in PrefixAffinity.
-	LoadWeight float64
-	// Headroom is the comfortable fraction of MaxContext
-	// (DefaultCapabilityHeadroom when 0).
-	Headroom float64
-}
-
-// NewCapabilityAffinity returns the policy with LoadWeight 1 and the
-// default headroom.
-func NewCapabilityAffinity() *CapabilityAffinity {
-	return &CapabilityAffinity{LoadWeight: 1, Headroom: DefaultCapabilityHeadroom}
-}
-
-// Name implements Policy.
-func (p *CapabilityAffinity) Name() string { return "CapabilityAffinity" }
-
-// headroom returns the effective comfort fraction.
-func (p *CapabilityAffinity) headroom() float64 {
-	if p.Headroom > 0 {
-		return p.Headroom
-	}
-	return DefaultCapabilityHeadroom
-}
-
-// eligible reports whether the request's prompt comfortably fits the
-// replica's context envelope.
-func (p *CapabilityAffinity) eligible(req RequestInfo, c ReplicaCapability) bool {
-	return float64(req.InputLen) <= p.headroom()*float64(c.MaxContext)
-}
-
-// score prices serving the request on r: cost-weighted seconds of the
-// prefill miss plus queued work, plus extraSeconds (a pending migration's
-// link time).
-func (p *CapabilityAffinity) score(miss int, r ReplicaView, extraSeconds float64) float64 {
-	c := r.Capability()
-	rate := c.PrefillRate
-	if rate <= 0 {
-		rate = 1
-	}
-	t := (float64(miss)+p.LoadWeight*float64(r.OutstandingTokens()))/rate + extraSeconds
-	return t * c.CostUnits
-}
-
-// homeIndex hashes the request's stickiest key to a replica, as
-// PrefixAffinity does.
-func (p *CapabilityAffinity) homeIndex(req RequestInfo, n int) int {
-	key := req.SessionKey
-	if key == 0 {
-		key = req.SharedKey
-	}
-	if key == 0 {
-		return -1
-	}
-	return int(mix64(uint64(key)) % uint64(n))
-}
-
-// pick scores the eligible replicas (all of them when none is eligible —
-// then the most capable wins outright) and returns the winner plus its
-// score.
-func (p *CapabilityAffinity) pick(req RequestInfo, replicas []ReplicaView) (int, float64) {
-	n := len(replicas)
-	anyEligible := false
-	for _, r := range replicas {
-		if p.eligible(req, r.Capability()) {
-			anyEligible = true
-			break
-		}
-	}
-	if !anyEligible {
-		// Nothing fits comfortably: fall back to the largest context
-		// envelope — the replica class that fails least badly — and
-		// balance by score within it, so a homogeneous fleet of small
-		// replicas spreads its oversize tail instead of dogpiling one.
-		best, bestScore := 0, p.score(missTokens(req, replicas[0]), replicas[0], 0)
-		for i := 1; i < n; i++ {
-			bm, im := replicas[best].Capability().MaxContext, replicas[i].Capability().MaxContext
-			if im < bm {
-				continue
-			}
-			score := p.score(missTokens(req, replicas[i]), replicas[i], 0)
-			if im > bm || score < bestScore {
-				best, bestScore = i, score
-			}
-		}
-		return best, bestScore
-	}
-	home := p.homeIndex(req, n)
-	best, bestScore := -1, 0.0
-	for i, r := range replicas {
-		if !p.eligible(req, r.Capability()) {
-			continue
-		}
-		score := p.score(missTokens(req, r), r, 0)
-		if best == -1 || score < bestScore || (score == bestScore && i == home) {
-			best, bestScore = i, score
-		}
-	}
-	return best, bestScore
-}
-
-// missTokens is the prefill the replica would actually compute.
-func missTokens(req RequestInfo, r ReplicaView) int {
-	miss := req.InputLen - r.CachedTokens(req)
-	if miss < 0 {
-		return 0
-	}
-	return miss
-}
-
-// Pick implements Policy.
-func (p *CapabilityAffinity) Pick(req RequestInfo, replicas []ReplicaView) int {
-	best, _ := p.pick(req, replicas)
-	return best
-}
-
-// PickMigrate implements MigrationAware: as MigratingAffinity, but scores
-// in cost-weighted seconds and only migrates onto capability-eligible
-// replicas.
-func (p *CapabilityAffinity) PickMigrate(req RequestInfo, replicas []ReplicaView, m Migrator) Decision {
-	best, bestScore := p.pick(req, replicas)
-	n := len(replicas)
-	if req.SessionKey == 0 || n < 2 {
-		return Decision{Dest: best, From: -1}
-	}
-	src, cached := -1, 0
-	for i, r := range replicas {
-		if c := r.SessionTokens(req); c > cached {
-			src, cached = i, c
-		}
-	}
-	if src < 0 || src == best {
-		return Decision{Dest: best, From: -1}
-	}
-	migSec := m.MigrationSeconds(cached)
-	miss := req.InputLen - cached
-	if miss < 0 {
-		miss = 0
-	}
-	migBest, migBestScore, migBestSec := -1, 0.0, 0.0
-	for i, r := range replicas {
-		if i == src || !p.eligible(req, r.Capability()) {
-			continue
-		}
-		s := p.score(miss, r, migSec)
-		if migBest == -1 || s < migBestScore {
-			migBest, migBestScore = i, s
-			migBestSec = migSec * r.Capability().CostUnits
-		}
-	}
-	// Hysteresis, as MigratingAffinity: the move must beat staying by more
-	// than its own (cost-weighted) transfer time, or sessions ping-pong.
-	if migBest >= 0 && migBestScore+migBestSec < bestScore {
-		return Decision{Dest: migBest, From: src}
-	}
-	return Decision{Dest: best, From: -1}
-}
-
-// ModuloHash routes every request by hashing its stickiest key modulo the
-// replica count — the classic consistent-bucket baseline: perfect session
-// stickiness, zero load awareness, and a reshuffle of every home whenever
-// the active set changes size. It is the degenerate endpoint of
-// cache-aware routing (affinity with no load term) and the natural
-// baseline for the cache-directory experiment.
-type ModuloHash struct{}
-
-// NewModuloHash returns the policy.
-func NewModuloHash() *ModuloHash { return &ModuloHash{} }
-
-// Name implements Policy.
-func (p *ModuloHash) Name() string { return "ModuloHash" }
-
-// Pick implements Policy.
-func (p *ModuloHash) Pick(req RequestInfo, replicas []ReplicaView) int {
-	key := uint64(req.SessionKey)
-	if key == 0 {
-		key = uint64(req.SharedKey)
-	}
-	if key == 0 {
-		key = uint64(req.ID) // stateless: spread by request identity
-	}
-	return int(mix64(key) % uint64(len(replicas)))
-}
-
 // DirectoryAware policies route off the gateway's global cache directory
 // instead of probing every replica's cache. The gateway attaches its
 // directory when Config.Directory is on; unattached (directory off), the
@@ -532,56 +196,278 @@ type DirectoryLocator interface {
 	Index() int
 }
 
-// ContentAffinity is cache-content-aware routing over the global cache
-// directory: each replica is scored by the prefill miss the directory
-// says it would really compute — the request's block chain matched
-// against the replica's directory-resident blocks — plus its outstanding
-// load, the whole estimate inflated by queue depth (a deep queue delays
-// the prefill no matter how warm the cache is). Replicas whose context
-// envelope the prompt would not comfortably fit are ineligible, as in
-// CapabilityAffinity. Ties break to the larger overlap, then to the
-// hashed session home.
-//
-// The contrast with PrefixAffinity is the information source:
-// PrefixAffinity probes every replica's cache omnisciently per request,
-// while ContentAffinity reads one gateway-side structure maintained by
-// residency events — the deployable version — and therefore also prices
-// partial overlaps (branch trunks, shared system prompts) that whole-key
-// probes undervalue, and composes with the cold tier (a directory hit at
-// DirCold becomes a fetch instead of a recompute).
-type ContentAffinity struct {
-	// LoadWeight converts outstanding tokens into score units relative to
-	// prefill tokens, as in PrefixAffinity.
-	LoadWeight float64
-	// QueueBias inflates a replica's score per queued request
-	// (multiplicative: score *= 1 + QueueBias*depth).
-	QueueBias float64
-	// Headroom is the comfortable fraction of MaxContext
-	// (DefaultCapabilityHeadroom when 0).
-	Headroom float64
+// DefaultCapabilityHeadroom is the fraction of a replica's MaxContext a
+// request's prompt may comfortably occupy before capability-aware routing
+// stops sending it there: a session needs room to grow across turns and
+// to coexist with other residents, so a prompt at, say, 80% of a small
+// replica's whole pool belongs on a longer-context kind even though it
+// would technically fit.
+const DefaultCapabilityHeadroom = 0.5
 
+// contentLoadWeight is ContentAffinity's load weight. It is deliberately
+// low: directory overlap is the signal that preset exists to exploit, so
+// load only breaks near-ties rather than dragging requests off their warm
+// replicas; at weight 1 it converges on PrefixAffinity's placements and
+// the directory buys nothing.
+const contentLoadWeight = 0.4
+
+// affinity is the one scorer behind every cache-affinity policy. It
+// prices routing a request to a replica as the prefill the replica would
+// compute (the prompt minus its resident prefix, the overlap) plus its
+// outstanding tokens times loadWeight, and routes to the cheapest. New
+// sessions hash to a stable home replica that wins score ties, so the
+// turns and sibling sessions that follow find warm caches, while a
+// sufficiently loaded home loses to a cold, idle replica — the
+// cache-affinity-vs-load balance the arodland/loadbalance simulation
+// studies.
+//
+// Presets switch on the rest. Costed presets convert that work into
+// cost-weighted seconds at the replica kind's prefill rate, so short
+// prompts flow to cheap kinds; on a homogeneous fleet the conversion is
+// one monotone scaling, so the placements match the capability-blind
+// ones. Envelope presets only consider replicas whose context envelope
+// the prompt comfortably fits, so long prompts flow to long-context
+// kinds.
+//
+// Migrating presets add the migrate-vs-recompute decision: the session's
+// KV may move from its warmest holder to a less-loaded replica when the
+// link transfer beats the recompute it avoids — LoongServe's
+// multi-replica analogue of choosing KV movement over recomputation.
+type affinity struct {
+	name        string
+	costed      bool // price in cost-weighted seconds, not tokens
+	envelope    bool // only route where the prompt comfortably fits
+	migrate     bool // weigh migrate-vs-recompute (PickMigrate)
+	overlapTies bool // break score ties to the larger overlap first
+	// loadWeight converts outstanding tokens into prefill-token units:
+	// 1 treats a queued token and a cold prefill token as equally costly.
+	loadWeight float64
+	// dir, once attached, replaces the per-replica cache probe as the
+	// overlap source.
 	dir *CacheDirectory
+}
+
+// Name implements Policy.
+func (a *affinity) Name() string { return a.name }
+
+// Pick implements Policy.
+func (a *affinity) Pick(req RequestInfo, replicas []ReplicaView) int {
+	best, _, _, _ := a.pick(req, replicas)
+	return best
+}
+
+// sheet returns r's capability sheet and whether req may be placed
+// there. Capability-blind presets (neither costed nor envelope-bound)
+// skip the probe and accept every replica.
+func (a *affinity) sheet(req RequestInfo, r ReplicaView) (ReplicaCapability, bool) {
+	if !a.costed && !a.envelope {
+		return ReplicaCapability{}, true
+	}
+	c := r.Capability()
+	return c, !a.envelope || float64(req.InputLen) <= DefaultCapabilityHeadroom*float64(c.MaxContext)
+}
+
+// price scores serving a miss-token prefill on r (sheet c), plus link, a
+// pending migration's transfer in the preset's denomination (link seconds
+// when costed, prefill tokens otherwise).
+func (a *affinity) price(miss int, r ReplicaView, c ReplicaCapability, link float64) float64 {
+	if !a.costed {
+		return float64(miss) + link + a.loadWeight*float64(r.OutstandingTokens())
+	}
+	rate := c.PrefillRate
+	if rate <= 0 {
+		rate = 1
+	}
+	return ((float64(miss)+a.loadWeight*float64(r.OutstandingTokens()))/rate + link) * c.CostUnits
+}
+
+// overlap is the resident-prefix claim for req at view slot i: the live
+// cache probe, or the directory's record once one is attached. The
+// directory location is the view's stable fleet index (DirectoryLocator),
+// not i: the active-views slice compacts over crashed and drained
+// replicas, so slot i can be a different replica than location i.
+func (a *affinity) overlap(req RequestInfo, i int, r ReplicaView) int {
+	if a.dir == nil {
+		return r.CachedTokens(req)
+	}
+	loc := i
+	if dl, ok := r.(DirectoryLocator); ok {
+		loc = dl.Index()
+	}
+	if len(req.Blocks) > 0 {
+		return min(a.dir.ChainOverlap(req.Blocks, loc), req.InputLen)
+	}
+	// Whole-key mode: the directory stores entry keys; the usable overlap
+	// is capped by the reusable prefix length, mirroring replica.lookup.
+	best := 0
+	if req.SessionKey != 0 {
+		best = min(a.dir.Tokens(uint64(req.SessionKey), loc), req.PrefixLen)
+	}
+	if req.SharedKey != 0 {
+		best = max(best, min(a.dir.Tokens(uint64(req.SharedKey), loc), req.SharedLen))
+	}
+	return best
+}
+
+// pick scores the candidate replicas and returns the winner, its score
+// and overlap, and the candidate count. Candidates are the replicas the
+// prompt comfortably fits or, when none does, those with the largest
+// context envelope — the class that fails least badly — where ties go to
+// the lowest index so load alone spreads the oversize tail. Otherwise
+// ties go to the hashed home (after the larger overlap, for presets that
+// prefer it).
+func (a *affinity) pick(req RequestInfo, replicas []ReplicaView) (best int, bestScore float64, bestOverlap, candidates int) {
+	n := len(replicas)
+	fits, top := !a.envelope, 0
+	for i := 0; i < n && !fits; i++ {
+		c, ok := a.sheet(req, replicas[i])
+		fits, top = ok, max(top, c.MaxContext)
+	}
+	home := -1
+	if key := stickyKey(req); key != 0 {
+		home = int(mix64(key) % uint64(n))
+	}
+	best = -1
+	for i, r := range replicas {
+		c, ok := a.sheet(req, r)
+		if !fits {
+			ok = c.MaxContext == top
+		}
+		if !ok {
+			continue
+		}
+		candidates++
+		o := a.overlap(req, i, r)
+		score := a.price(max(req.InputLen-o, 0), r, c, 0)
+		better := best == -1 || score < bestScore
+		if !better && score == bestScore && fits {
+			if a.overlapTies && o != bestOverlap {
+				better = o > bestOverlap
+			} else {
+				better = i == home
+			}
+		}
+		if better {
+			best, bestScore, bestOverlap = i, score, o
+		}
+	}
+	return best, bestScore, bestOverlap, candidates
+}
+
+// stickyKey is the request's stickiest prefix key: its session, else its
+// shared system prompt, else 0.
+func stickyKey(req RequestInfo) uint64 {
+	if req.SessionKey != 0 {
+		return uint64(req.SessionKey)
+	}
+	return uint64(req.SharedKey)
+}
+
+// CapabilityAffinity is the affinity scorer over per-replica cache
+// probes, at load weight 1. Its presets differ only in capability
+// awareness and migration:
+//
+//   - NewPrefixAffinity: capability-blind, no migration;
+//   - NewMigratingAffinity: capability-blind, migrates;
+//   - NewCapabilityAffinity: costed and envelope-bound, migrates.
+//
+// Every preset is MigrationAware; the non-migrating one always answers
+// From == -1. The capability-blind presets are the ablation arm of
+// heterogeneous comparisons.
+type CapabilityAffinity struct{ affinity }
+
+// NewPrefixAffinity returns the capability-blind, non-migrating preset.
+func NewPrefixAffinity() *CapabilityAffinity {
+	return &CapabilityAffinity{affinity{name: "PrefixAffinity", loadWeight: 1}}
+}
+
+// NewMigratingAffinity returns the capability-blind, migrating preset.
+func NewMigratingAffinity() *CapabilityAffinity {
+	return &CapabilityAffinity{affinity{name: "MigratingAffinity", migrate: true, loadWeight: 1}}
+}
+
+// NewCapabilityAffinity returns the capability-aware, migrating preset.
+func NewCapabilityAffinity() *CapabilityAffinity {
+	return &CapabilityAffinity{affinity{name: "CapabilityAffinity", costed: true, envelope: true, migrate: true, loadWeight: 1}}
+}
+
+// PickMigrate implements MigrationAware: pick plus, for migrating
+// presets, the option of moving the session's KV from the replica holding
+// most of it to another replica the prompt fits, paying the link instead
+// of the recompute.
+func (p *CapabilityAffinity) PickMigrate(req RequestInfo, replicas []ReplicaView, m Migrator) Decision {
+	best, bestScore, _, _ := p.pick(req, replicas)
+	if !p.migrate || req.SessionKey == 0 || len(replicas) < 2 {
+		return Decision{Dest: best, From: -1}
+	}
+	src, cached := -1, 0
+	for i, r := range replicas {
+		if c := r.SessionTokens(req); c > cached {
+			src, cached = i, c
+		}
+	}
+	if src < 0 || src == best {
+		return Decision{Dest: best, From: -1}
+	}
+	var link float64
+	if p.costed {
+		link = m.MigrationSeconds(cached)
+	} else {
+		link = m.MigrationTokenCost(cached)
+	}
+	miss := max(req.InputLen-cached, 0)
+	dest, destScore, destLink := -1, 0.0, 0.0
+	for i, r := range replicas {
+		if i == src {
+			continue
+		}
+		c, ok := p.sheet(req, r)
+		if !ok {
+			continue
+		}
+		if s := p.price(miss, r, c, link); dest == -1 || s < destScore {
+			dest, destScore, destLink = i, s, link
+			if p.costed {
+				destLink = link * c.CostUnits
+			}
+		}
+	}
+	// Hysteresis: a move must beat staying by more than its own transfer
+	// cost, or marginal load differences make sessions ping-pong between
+	// replicas (each bounce paying the link for nothing).
+	if dest >= 0 && destScore+destLink < bestScore {
+		return Decision{Dest: dest, From: src}
+	}
+	return Decision{Dest: best, From: -1}
+}
+
+// ContentAffinity is the affinity scorer with the gateway's global cache
+// directory as its overlap source: the request's block chain matched
+// against each replica's directory-resident blocks. It prices in tokens
+// at load weight contentLoadWeight, keeps to the replicas the prompt
+// comfortably fits, breaks score ties to the larger overlap and never
+// migrates. Where the probe presets query every replica's cache
+// omnisciently per request, ContentAffinity reads one gateway-side
+// structure maintained by residency events — the deployable version —
+// and so also prices partial overlaps (branch trunks, shared system
+// prompts) that whole-key probes undervalue, and composes with the cold
+// tier (a directory hit at DirCold becomes a fetch instead of a
+// recompute).
+type ContentAffinity struct {
+	affinity
 
 	// Last-pick explanation, read by the gateway's content-route emitter:
 	// the overlap tokens claimed at the chosen replica, its queue depth at
-	// pick time, and how many replicas were eligible.
+	// pick time, and how many replicas were candidates.
 	lastClaim    int
 	lastQueue    int
 	lastEligible int
 }
 
-// NewContentAffinity returns the policy with LoadWeight 0.4, QueueBias 0
-// and the default headroom. The low load weight is deliberate: directory
-// overlap is the signal this policy exists to exploit, so load only breaks
-// near-ties rather than dragging requests off their warm replicas; at
-// LoadWeight 1 the policy converges on PrefixAffinity's placements and the
-// directory buys nothing.
+// NewContentAffinity returns the policy.
 func NewContentAffinity() *ContentAffinity {
-	return &ContentAffinity{LoadWeight: 0.4, Headroom: DefaultCapabilityHeadroom}
+	return &ContentAffinity{affinity: affinity{name: "ContentAffinity", envelope: true, overlapTies: true, loadWeight: contentLoadWeight}}
 }
-
-// Name implements Policy.
-func (p *ContentAffinity) Name() string { return "ContentAffinity" }
 
 // AttachDirectory implements DirectoryAware.
 func (p *ContentAffinity) AttachDirectory(d *CacheDirectory) { p.dir = d }
@@ -591,114 +477,34 @@ func (p *ContentAffinity) LastPick() (claim, queue, eligible int) {
 	return p.lastClaim, p.lastQueue, p.lastEligible
 }
 
-func (p *ContentAffinity) headroom() float64 {
-	if p.Headroom > 0 {
-		return p.Headroom
-	}
-	return DefaultCapabilityHeadroom
-}
-
-// overlap is the directory's resident-prefix claim for req at view slot i,
-// falling back to the live cache probe when no directory is attached. The
-// directory location is the view's stable fleet index (DirectoryLocator),
-// not i: the active-views slice compacts over crashed and drained
-// replicas, so slot i can be a different replica than location i.
-func (p *ContentAffinity) overlap(req RequestInfo, i int, r ReplicaView) int {
-	if p.dir == nil {
-		return r.CachedTokens(req)
-	}
-	loc := i
-	if dl, ok := r.(DirectoryLocator); ok {
-		loc = dl.Index()
-	}
-	if len(req.Blocks) > 0 {
-		o := p.dir.ChainOverlap(req.Blocks, loc)
-		if o > req.InputLen {
-			o = req.InputLen
-		}
-		return o
-	}
-	// Whole-key mode: the directory stores entry keys; the usable overlap
-	// is capped by the reusable prefix length, mirroring replica.lookup.
-	best := 0
-	if req.SessionKey != 0 {
-		if t := p.dir.Tokens(uint64(req.SessionKey), loc); t > 0 {
-			if t > req.PrefixLen {
-				t = req.PrefixLen
-			}
-			best = t
-		}
-	}
-	if req.SharedKey != 0 {
-		if t := p.dir.Tokens(uint64(req.SharedKey), loc); t > 0 {
-			if t > req.SharedLen {
-				t = req.SharedLen
-			}
-			if t > best {
-				best = t
-			}
-		}
-	}
-	return best
-}
-
-// score prices serving req on r given its directory overlap.
-func (p *ContentAffinity) score(req RequestInfo, r ReplicaView, overlap int) float64 {
-	miss := req.InputLen - overlap
-	if miss < 0 {
-		miss = 0
-	}
-	s := float64(miss) + p.LoadWeight*float64(r.OutstandingTokens())
-	return s * (1 + p.QueueBias*float64(r.QueueDepth()))
-}
-
-// homeIndex hashes the request's stickiest key, as PrefixAffinity does.
-func (p *ContentAffinity) homeIndex(req RequestInfo, n int) int {
-	key := req.SessionKey
-	if key == 0 {
-		key = req.SharedKey
-	}
-	if key == 0 {
-		return -1
-	}
-	return int(mix64(uint64(key)) % uint64(n))
-}
-
 // Pick implements Policy.
 func (p *ContentAffinity) Pick(req RequestInfo, replicas []ReplicaView) int {
-	n := len(replicas)
-	head := p.headroom()
-	eligible := 0
-	for _, r := range replicas {
-		if float64(req.InputLen) <= head*float64(r.Capability().MaxContext) {
-			eligible++
-		}
-	}
-	home := p.homeIndex(req, n)
-	best, bestScore, bestOverlap := -1, 0.0, 0
-	for i, r := range replicas {
-		// When nothing fits comfortably every replica stays a candidate —
-		// the request must land somewhere.
-		if eligible > 0 && float64(req.InputLen) > head*float64(r.Capability().MaxContext) {
-			continue
-		}
-		o := p.overlap(req, i, r)
-		score := p.score(req, r, o)
-		better := best == -1 || score < bestScore
-		if !better && score == bestScore {
-			better = o > bestOverlap || (o == bestOverlap && i == home)
-		}
-		if better {
-			best, bestScore, bestOverlap = i, score, o
-		}
-	}
-	p.lastClaim = bestOverlap
-	p.lastQueue = replicas[best].QueueDepth()
-	if eligible == 0 {
-		eligible = n
-	}
-	p.lastEligible = eligible
+	best, _, claim, eligible := p.pick(req, replicas)
+	p.lastClaim, p.lastQueue, p.lastEligible = claim, replicas[best].QueueDepth(), eligible
 	return best
+}
+
+// ModuloHash routes every request by hashing its stickiest key modulo the
+// replica count — the classic consistent-bucket baseline: perfect session
+// stickiness, zero load awareness, and a reshuffle of every home whenever
+// the active set changes size. It is the degenerate endpoint of
+// cache-aware routing (affinity with no load term) and the natural
+// baseline for the cache-directory experiment.
+type ModuloHash struct{}
+
+// NewModuloHash returns the policy.
+func NewModuloHash() *ModuloHash { return &ModuloHash{} }
+
+// Name implements Policy.
+func (p *ModuloHash) Name() string { return "ModuloHash" }
+
+// Pick implements Policy.
+func (p *ModuloHash) Pick(req RequestInfo, replicas []ReplicaView) int {
+	key := stickyKey(req)
+	if key == 0 {
+		key = uint64(req.ID) // stateless: spread by request identity
+	}
+	return int(mix64(key) % uint64(len(replicas)))
 }
 
 // ByName returns a fresh policy instance for a CLI-facing name.

@@ -1,6 +1,9 @@
 package fleet
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // fakeReplica is a scriptable ReplicaView for policy unit tests. The zero
 // value reports a generous uniform capability so capability-blind tests
@@ -125,11 +128,37 @@ func TestPrefixAffinityHomeIsStable(t *testing.T) {
 	}
 }
 
+// TestByNameAndAllPolicies pins the contract the gateway branches on:
+// for every alias ByName accepts, the policy's name and whether it is
+// MigrationAware (Gateway.Submit calls PickMigrate) and DirectoryAware
+// (NewGatewayGroups attaches the cache directory).
 func TestByNameAndAllPolicies(t *testing.T) {
-	for _, name := range []string{"roundrobin", "rr", "leastloaded", "ll", "p2c", "poweroftwo", "affinity", "prefix", "migrate", "migrating"} {
-		p, err := ByName(name, 1)
-		if err != nil || p == nil {
-			t.Fatalf("ByName(%q): %v", name, err)
+	for _, c := range []struct {
+		aliases   []string
+		name      string
+		migrating bool
+		directory bool
+	}{
+		{[]string{"roundrobin", "rr"}, "RoundRobin", false, false},
+		{[]string{"leastloaded", "ll"}, "LeastLoaded", false, false},
+		{[]string{"p2c", "poweroftwo"}, "PowerOfTwoChoices", false, false},
+		{[]string{"affinity", "prefix"}, "PrefixAffinity", true, false},
+		{[]string{"migrate", "migrating"}, "MigratingAffinity", true, false},
+		{[]string{"capability", "cap"}, "CapabilityAffinity", true, false},
+		{[]string{"content", "directory"}, "ContentAffinity", false, true},
+		{[]string{"modulo", "hash"}, "ModuloHash", false, false},
+	} {
+		for _, alias := range c.aliases {
+			p, err := ByName(alias, 1)
+			if err != nil || p == nil {
+				t.Fatalf("ByName(%q): %v", alias, err)
+			}
+			_, ma := p.(MigrationAware)
+			_, da := p.(DirectoryAware)
+			if p.Name() != c.name || ma != c.migrating || da != c.directory {
+				t.Errorf("ByName(%q) = %s MigrationAware=%v DirectoryAware=%v, want %s %v %v",
+					alias, p.Name(), ma, da, c.name, c.migrating, c.directory)
+			}
 		}
 	}
 	if _, err := ByName("nope", 1); err == nil {
@@ -253,17 +282,31 @@ func TestCapabilityAffinityFallbackMostCapable(t *testing.T) {
 
 func TestCapabilityAffinityHomogeneousMatchesPrefixAffinity(t *testing.T) {
 	// On uniform capabilities the capability score is a monotone function
-	// of PrefixAffinity's, so the two policies must agree pick for pick.
+	// of PrefixAffinity's, so the two policies must agree pick for pick
+	// wherever the prompt fits the envelope. A seeded sweep over loads,
+	// cached tokens and prompt lengths, with ties made common by coarse
+	// value grids.
 	ca, pa := NewCapabilityAffinity(), NewPrefixAffinity()
-	for s := int64(1); s <= 32; s++ {
-		req := RequestInfo{InputLen: 1000 + int(s)*100, SessionKey: SessionKey(s), PrefixLen: 500}
-		vs := views(
-			&fakeReplica{tokens: int(s) * 37 % 900},
-			&fakeReplica{tokens: int(s) * 53 % 900, cached: 500, session: 500},
-			&fakeReplica{tokens: int(s) * 71 % 900},
-		)
+	rng := rand.New(rand.NewSource(1))
+	for s := 0; s < 5000; s++ {
+		n := 1 + rng.Intn(6)
+		req := RequestInfo{InputLen: 1 + rng.Intn(8000), PrefixLen: rng.Intn(4000)}
+		switch rng.Intn(3) {
+		case 0:
+			req.SessionKey = SessionKey(rng.Int63n(50))
+		case 1:
+			req.SharedKey = GroupKey(rng.Intn(4))
+		}
+		fs := make([]*fakeReplica, n)
+		for i := range fs {
+			fs[i] = &fakeReplica{tokens: 100 * rng.Intn(20)}
+			if rng.Intn(2) == 0 {
+				fs[i].cached = 500 * rng.Intn(10)
+			}
+		}
+		vs := views(fs...)
 		if got, want := ca.Pick(req, vs), pa.Pick(req, vs); got != want {
-			t.Fatalf("session %d: capability picked %d, prefix-affinity %d", s, got, want)
+			t.Fatalf("case %d (%+v, %d replicas): capability picked %d, prefix-affinity %d", s, req, n, got, want)
 		}
 	}
 }
@@ -305,11 +348,50 @@ func TestCapabilityAffinityMigration(t *testing.T) {
 	}
 }
 
-func TestByNameCapability(t *testing.T) {
-	for _, name := range []string{"capability", "cap"} {
-		p, err := ByName(name, 1)
-		if err != nil || p.Name() != "CapabilityAffinity" {
-			t.Fatalf("ByName(%q) = %v, %v", name, p, err)
-		}
+func TestPrefixAffinityNeverMigrates(t *testing.T) {
+	// The non-migrating preset is MigrationAware only to share one type;
+	// where MigratingAffinity moves the KV, it must spill cold instead.
+	req := RequestInfo{InputLen: 4000, SessionKey: SessionKey(5), PrefixLen: 3500}
+	vs := views(&fakeReplica{tokens: 50_000, cached: 3500, session: 3500}, &fakeReplica{tokens: 0})
+	if d := NewMigratingAffinity().PickMigrate(req, vs, fixedMigrator{cost: 500}); d.From != 0 {
+		t.Fatalf("MigratingAffinity: got %+v, want migrate 0->1", d)
+	}
+	if d := NewPrefixAffinity().PickMigrate(req, vs, fixedMigrator{cost: 500}); d.Dest != 1 || d.From != -1 {
+		t.Fatalf("PrefixAffinity: got %+v, want cold spill to 1", d)
+	}
+}
+
+func TestContentAffinityTiesBreakToOverlap(t *testing.T) {
+	// Equal scores: the larger overlap wins over the hashed home, where
+	// the probe presets take the home. Replica 0's extra load cancels its
+	// 1000-token overlap at the content load weight (0.4 * 2500 = 1000).
+	req := RequestInfo{InputLen: 4000, SessionKey: SessionKey(5), PrefixLen: 1000}
+	home := int(mix64(uint64(req.SessionKey)) % 2)
+	fs := []*fakeReplica{{}, {}}
+	fs[1-home] = &fakeReplica{tokens: 2500, cached: 1000}
+	p := NewContentAffinity()
+	if got := p.Pick(req, views(fs...)); got != 1-home {
+		t.Fatalf("content tie: pick = %d, want overlapping replica %d", got, 1-home)
+	}
+	if claim, _, eligible := p.LastPick(); claim != 1000 || eligible != 2 {
+		t.Fatalf("LastPick claim %d eligible %d, want 1000 2", claim, eligible)
+	}
+	// The same tie at load weight 1 goes home under the probe presets.
+	fs[1-home] = &fakeReplica{tokens: 1000, cached: 1000}
+	if got := NewPrefixAffinity().Pick(req, views(fs...)); got != home {
+		t.Fatalf("prefix-affinity tie: pick = %d, want home %d", got, home)
+	}
+}
+
+func TestContentAffinityRespectsEnvelope(t *testing.T) {
+	// Token-priced like PrefixAffinity, but envelope-bound like
+	// CapabilityAffinity: an 80K prompt stays off the small replicas
+	// even though they are idle.
+	req := RequestInfo{InputLen: 80_000}
+	if got := NewContentAffinity().Pick(req, heteroViews(50_000, 0, 0)); got != 0 {
+		t.Fatalf("long prompt routed to replica %d, want big 0", got)
+	}
+	if got := NewPrefixAffinity().Pick(req, heteroViews(50_000, 0, 0)); got == 0 {
+		t.Fatal("capability-blind prefix-affinity kept the long prompt on the loaded big replica")
 	}
 }

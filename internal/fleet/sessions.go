@@ -193,33 +193,14 @@ func (f *StreamFeed) emit(s *workload.SessionScript, t int) {
 // RunSessionsGroups(…, closed=false), and the entry point sized for
 // day-long million-session traces (pair with Config.StreamMetrics and, for
 // multi-core execution, Config.Shards).
-func RunSessionStream(stream *workload.SessionStream, cfg Config) (res *Result, err error) {
+func RunSessionStream(stream *workload.SessionStream, cfg Config) (*Result, error) {
 	sim := simevent.New()
 	g, err := NewGatewayGroups(cfg, sim)
 	if err != nil {
 		return nil, err
 	}
 	feed := FeedSessionStream(g, stream)
-
-	defer func() {
-		if p := recover(); p != nil {
-			if oom, ok := p.(*serving.ErrOOM); ok {
-				err = oom
-				res = nil
-				return
-			}
-			panic(p)
-		}
-	}()
-	g.runLoop()
-
-	if feed.Completed() != feed.Total() {
-		return nil, fmt.Errorf("fleet: %d of %d streamed session requests completed (policy %s)",
-			feed.Completed(), feed.Total(), g.PolicyName())
-	}
-	res = g.Finalize()
-	res.Trace = feed.Trace
-	return res, nil
+	return runToEnd(g, "streamed session requests", func() (int, int) { return feed.Completed(), feed.Total() }, &feed.Trace)
 }
 
 // RunSessions replays a session-script workload against a static fleet,
@@ -250,7 +231,7 @@ func RunSessionsGroups(scripts []workload.SessionScript, cfg Config, closed bool
 
 // runSessions feeds the scripts, runs the simulator to completion and
 // finalizes, converting engine OOM panics to errors.
-func runSessions(g *Gateway, sim *simevent.Sim, scripts []workload.SessionScript, closed bool) (res *Result, err error) {
+func runSessions(g *Gateway, sim *simevent.Sim, scripts []workload.SessionScript, closed bool) (*Result, error) {
 	if g.shard != nil && closed {
 		// A closed-loop feed schedules the next turn at completion time with
 		// zero lookahead, so no gateway timestamp bounds future engine
@@ -258,24 +239,5 @@ func runSessions(g *Gateway, sim *simevent.Sim, scripts []workload.SessionScript
 		return nil, fmt.Errorf("fleet: closed-loop session feeds cannot run sharded (Shards=%d); use an open-loop feed or Shards=0", g.cfg.Shards)
 	}
 	feed := FeedSessions(g, scripts, closed)
-
-	defer func() {
-		if p := recover(); p != nil {
-			if oom, ok := p.(*serving.ErrOOM); ok {
-				err = oom
-				res = nil
-				return
-			}
-			panic(p)
-		}
-	}()
-	g.runLoop()
-
-	if feed.Completed() != feed.Total() {
-		return nil, fmt.Errorf("fleet: %d of %d session requests completed (policy %s)",
-			feed.Completed(), feed.Total(), g.PolicyName())
-	}
-	res = g.Finalize()
-	res.Trace = feed.Trace
-	return res, nil
+	return runToEnd(g, "session requests", func() (int, int) { return feed.Completed(), feed.Total() }, &feed.Trace)
 }
