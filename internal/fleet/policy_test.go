@@ -177,6 +177,15 @@ func TestByNameAndAllPolicies(t *testing.T) {
 	}
 }
 
+func TestByNameCapability(t *testing.T) {
+	for _, name := range []string{"capability", "cap"} {
+		p, err := ByName(name, 1)
+		if err != nil || p.Name() != "CapabilityAffinity" {
+			t.Fatalf("ByName(%q) = %v, %v", name, p, err)
+		}
+	}
+}
+
 // fixedMigrator prices every transfer at a constant token cost (and the
 // equivalent seconds at a 10K-token/s reference rate).
 type fixedMigrator struct{ cost float64 }
