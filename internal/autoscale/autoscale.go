@@ -16,6 +16,11 @@
 // merit is cost-normalized goodput: SLO-met requests per second per
 // provisioned replica, which a static fleet can only optimize for one
 // arrival rate while the controller tracks bursts (bench.AutoscaleExperiment).
+//
+// Run and RunKinds build a one-group starting fleet, put the control
+// loop's tick on its simulator, and end in fleet.SessionFeed.Run, the tail
+// every session run takes. Elastic fleets need the single-heap runner:
+// fleet.Config.Shards must be zero.
 package autoscale
 
 import (
@@ -24,7 +29,6 @@ import (
 
 	"loongserve/internal/fleet"
 	"loongserve/internal/obs"
-	"loongserve/internal/serving"
 	"loongserve/internal/simevent"
 	"loongserve/internal/workload"
 )
@@ -366,21 +370,19 @@ func (c *controller) tick() {
 }
 
 // Run drives a session workload (closed- or open-loop) against an elastic
-// homogeneous fleet: the gateway starts at acfg.Min replicas of spec and
-// the controller grows and shrinks it from queue pressure (acfg.Kinds is
-// ignored — kind-picking needs RunKinds). Deterministic in the scripts and
-// configuration.
+// homogeneous fleet: the gateway starts at acfg.Min replicas of spec (one
+// group of the kind "default"; fcfg.Groups must be unset and fcfg.Replicas
+// is ignored) and the controller grows and shrinks it from queue pressure
+// (acfg.Kinds is ignored — kind-picking needs RunKinds). Deterministic in
+// the scripts and configuration.
 func Run(spec fleet.Spec, scripts []workload.SessionScript, fcfg fleet.Config, acfg Config, closed bool) (*Result, error) {
 	if err := acfg.Validate(); err != nil {
 		return nil, err
 	}
-	sim := simevent.New()
-	fcfg.Replicas = acfg.Min
-	g, err := fleet.NewGateway(spec, fcfg, sim)
-	if err != nil {
-		return nil, err
+	if fcfg.Groups != nil {
+		return nil, fmt.Errorf("autoscale: Run takes a Spec, not fcfg.Groups (use RunKinds)")
 	}
-	return run(g, sim, scripts, acfg, nil, closed)
+	return run(fleet.NewKind("default", spec), nil, scripts, fcfg, acfg, closed)
 }
 
 // RunKinds drives a session workload against an elastic *heterogeneous*
@@ -401,44 +403,36 @@ func RunKinds(scripts []workload.SessionScript, fcfg fleet.Config, acfg Config, 
 	if fcfg.Groups != nil || fcfg.Replicas != 0 {
 		return nil, fmt.Errorf("autoscale: RunKinds owns the composition; leave fcfg.Groups and fcfg.Replicas unset")
 	}
-	for _, k := range acfg.Kinds {
+	return run(acfg.Kinds[0], acfg.Kinds, scripts, fcfg, acfg, closed)
+}
+
+// run is shared by Run and RunKinds: build the one-group starting fleet of acfg.Min
+// replicas of base, feed the workload, put the control loop on the
+// simulator, and run the feed to its end. kinds are the scale-up
+// candidates (nil for the homogeneous controller).
+func run(base *fleet.ReplicaKind, kinds []*fleet.ReplicaKind, scripts []workload.SessionScript, fcfg fleet.Config, acfg Config, closed bool) (*Result, error) {
+	if fcfg.Shards > 0 {
+		// The sharded runner's replica set is static: AddReplica refuses,
+		// so the controller could never scale and would tick forever.
+		return nil, fmt.Errorf("autoscale: elastic fleets cannot run sharded (Shards=%d); use Shards=0", fcfg.Shards)
+	}
+	for _, k := range kinds {
 		if err := k.Resolve(); err != nil {
 			return nil, err
 		}
 	}
 	sim := simevent.New()
-	fcfg.Groups = []fleet.ReplicaGroup{{Kind: acfg.Kinds[0], Count: acfg.Min}}
+	fcfg.Groups = []fleet.ReplicaGroup{{Kind: base, Count: acfg.Min}}
 	g, err := fleet.NewGatewayGroups(fcfg, sim)
 	if err != nil {
 		return nil, err
 	}
-	return run(g, sim, scripts, acfg, acfg.Kinds, closed)
-}
-
-// run is the shared driver: feed the workload, run the control loop on the
-// simulator, and finalize.
-func run(g *fleet.Gateway, sim *simevent.Sim, scripts []workload.SessionScript, acfg Config, kinds []*fleet.ReplicaKind, closed bool) (res *Result, err error) {
 	feed := fleet.FeedSessions(g, scripts, closed)
-	res = &Result{PeakReplicas: acfg.Min}
+	res := &Result{PeakReplicas: acfg.Min}
 	ctl := &controller{g: g, sim: sim, cfg: acfg, feed: feed, res: res, kinds: kinds}
 	sim.After(acfg.Interval, ctl.tick)
-
-	defer func() {
-		if p := recover(); p != nil {
-			if oom, ok := p.(*serving.ErrOOM); ok {
-				err = oom
-				res = nil
-				return
-			}
-			panic(p)
-		}
-	}()
-	sim.Run()
-
-	if feed.Completed() != feed.Total() {
-		return nil, fmt.Errorf("autoscale: %d of %d requests completed", feed.Completed(), feed.Total())
+	if res.Result, err = feed.Run(); err != nil {
+		return nil, err
 	}
-	res.Result = g.Finalize()
-	res.Trace = feed.Trace
 	return res, nil
 }

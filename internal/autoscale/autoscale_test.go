@@ -362,3 +362,21 @@ func TestRunKindsValidation(t *testing.T) {
 		t.Error("nil kind accepted")
 	}
 }
+
+// TestRejectsSharded: a sharded fleet is static (AddReplica refuses), so an
+// elastic run must be refused up front rather than tick forever against a
+// fleet it can never grow. MaxEvents keeps a regression from spinning.
+func TestRejectsSharded(t *testing.T) {
+	scripts := burstyScripts(t, 200, 21)
+	fcfg := fleet.Config{Policy: fleet.NewMigratingAffinity(), Shards: 2, MaxEvents: 200_000}
+	acfg := testConfig()
+	acfg.Kinds = []*fleet.ReplicaKind{fleet.NewKind("small", kindSpec(1)), fleet.NewKind("big", kindSpec(4))}
+	for _, closed := range []bool{false, true} {
+		if _, err := autoscale.Run(slowSpec(), scripts, fcfg, testConfig(), closed); err == nil {
+			t.Errorf("closed=%v: Run accepted a sharded fleet", closed)
+		}
+		if _, err := autoscale.RunKinds(scripts, fcfg, acfg, closed); err == nil {
+			t.Errorf("closed=%v: RunKinds accepted a sharded fleet", closed)
+		}
+	}
+}

@@ -94,7 +94,7 @@ func FleetChaosExperiment(sc Scale) *Table {
 		}
 		res, err := fleet.RunSessionsFaults(scripts, cfg, true, faults)
 		if err != nil {
-			// runSessions' completion check failed (or the run OOMed):
+			// The session feed's completion check failed (or the run OOMed):
 			// requests were lost — the one verdict this table exists to
 			// rule out.
 			rows[arm] = []string{fmt.Sprint(crashRate), hcell, "ERR", "-", "-", "-", "-", "-", "-", "-", "-", "LOST", err.Error()}

@@ -51,6 +51,14 @@
 // workload.Fault schedule onto the simulator; RunSessionsFaults is the
 // chaos-experiment entry point, whose closed-loop completion check is
 // itself the proof that no request was lost.
+//
+// Session workloads reach the gateway through one feed (sessions.go): a
+// SessionFeed pulls sessions family by family from a lazily sampled
+// workload.SessionStream or from an eager script slice, open- or
+// closed-loop, and arms each session's start when the previous one fires.
+// Every session run — static, chaos, streamed or autoscaled — ends in the
+// feed's Run, which runs the gateway to completion, checks that every
+// emitted request finished, and finalizes the Result.
 package fleet
 
 import (
@@ -423,7 +431,8 @@ func runTrace(g *Gateway, sim *simevent.Sim, trace []workload.TimedRequest) (*Re
 	return runToEnd(g, "requests", func() (int, int) { return g.Completed(), len(trace) }, nil)
 }
 
-// runToEnd is the shared tail of every static run: it runs g's simulator
+// runToEnd is the shared tail of every run (runTrace and SessionFeed.Run,
+// which the session runners and autoscale end in): it runs g's simulator
 // to completion and finalizes, converting an engine OOM panic into the
 // returned error. progress reports the feed's completed and total
 // requests, which must match at the end (what names them in the error);

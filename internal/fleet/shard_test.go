@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -179,6 +181,14 @@ func TestShardedRejectsClosedLoop(t *testing.T) {
 	if _, err := RunSessionsGroups(scripts, cfg, true); err == nil {
 		t.Fatal("closed-loop sharded run accepted")
 	}
+	// A feed built by hand is guarded by its own Run, not only by RunSessions*.
+	g, err := NewGatewayGroups(cfg, simevent.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FeedSessions(g, scripts, true).Run(); err == nil {
+		t.Fatal("hand-built closed-loop feed ran sharded")
+	}
 }
 
 // TestShardedRejectsProvisioning: sharded fleets are static — mid-run
@@ -226,6 +236,48 @@ func TestStreamFeedMatchesEagerFeed(t *testing.T) {
 		}
 		if !reflect.DeepEqual(eager.Trace, lazy.Trace) {
 			t.Fatalf("shards=%d: stream feed trace differs from eager feed", shards)
+		}
+	}
+}
+
+// TestFeedOrdersSlicesByConvertedStart: a slice feed serves sessions in
+// stable order of simulated start time, the (at, seq) order of staging each
+// start. Two float starts that land on the same nanosecond keep their slice
+// order, so a sort on the float Start would swap their request IDs. The
+// reference is the slice sorted by hand with each start snapped to its
+// nanosecond, an order every sort the feed could do leaves alone.
+func TestFeedOrdersSlicesByConvertedStart(t *testing.T) {
+	scripts := chatScripts(8, 2, 0.5, 17)
+	for i, start := range []float64{3, 1, 2 + 1e-12, 2, 0.5, 4, 2.5, 0} {
+		scripts[i].Start = start
+	}
+	if simevent.FromSeconds(scripts[2].Start) != simevent.FromSeconds(scripts[3].Start) || scripts[2].Start <= scripts[3].Start {
+		t.Fatal("fixture: sessions 2 and 3 must share a nanosecond in descending float order")
+	}
+	sorted := slices.Clone(scripts)
+	slices.SortStableFunc(sorted, func(a, b workload.SessionScript) int {
+		return cmp.Compare(simevent.FromSeconds(a.Start), simevent.FromSeconds(b.Start))
+	})
+	for i := range sorted {
+		sorted[i].Start = simevent.FromSeconds(sorted[i].Start).Seconds()
+	}
+	mk := func() Config {
+		return Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 2}}, Policy: NewPrefixAffinity(), Cache: CacheRadix}
+	}
+	for _, closed := range []bool{false, true} {
+		want, err := RunSessionsGroups(sorted, mk(), closed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunSessionsGroups(scripts, mk(), closed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.Records, got.Records) {
+			t.Fatalf("closed=%v: out-of-order slice records differ from the stably sorted slice", closed)
+		}
+		if !reflect.DeepEqual(want.Trace, got.Trace) {
+			t.Fatalf("closed=%v: out-of-order slice trace differs from the stably sorted slice", closed)
 		}
 	}
 }
