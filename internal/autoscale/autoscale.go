@@ -406,9 +406,9 @@ func RunKinds(scripts []workload.SessionScript, fcfg fleet.Config, acfg Config, 
 	return run(acfg.Kinds[0], acfg.Kinds, scripts, fcfg, acfg, closed)
 }
 
-// run is shared by Run and RunKinds: build the one-group starting fleet of acfg.Min
-// replicas of base, feed the workload, put the control loop on the
-// simulator, and run the feed to its end. kinds are the scale-up
+// run is shared by Run and RunKinds: build the one-group starting fleet
+// of acfg.Min replicas of base, feed the workload, put the control loop on
+// the simulator, and run the feed to its end. kinds are the scale-up
 // candidates (nil for the homogeneous controller).
 func run(base *fleet.ReplicaKind, kinds []*fleet.ReplicaKind, scripts []workload.SessionScript, fcfg fleet.Config, acfg Config, closed bool) (*Result, error) {
 	if fcfg.Shards > 0 {
