@@ -87,10 +87,11 @@
 // Performance: -shards N advances the replica engines on N worker
 // goroutines between gateway-event barriers (conservative time-window
 // synchronization: every gateway interaction is a barrier, replicas run
-// free between them on private event heaps). Output is byte-identical to
-// the serial run at any N — sharding buys wall-clock time on multi-core
-// hosts, never different results. It requires an open-loop workload and a
-// static fleet. -fuse-decode collapses provably identical decode
+// free between them on private event heaps; a closed loop bounds the
+// windows by the smallest think time in flight). Output is byte-identical
+// to the serial run at any N — open- or closed-loop, static, faulted or
+// autoscaled — so sharding buys wall-clock time on multi-core hosts,
+// never different results. -fuse-decode collapses provably identical decode
 // iterations of a stable group into one simulator event on replicas whose
 // engine supports it (the LoongServe core); fusion is observationally
 // exact — records, traces, event streams and audits are unchanged, only
@@ -192,7 +193,7 @@ func main() {
 		coldTier    = flag.Int("cold-tier", 0, "fleet-shared host-memory cold KV tier capacity in tokens: capacity-evicted radix blocks spill there and are fetched back when the link beats recompute (0 = off; requires -cache radix)")
 		branch      = flag.Int("branch", 0, "branching sessions: family size sharing a conversation trunk (0 = independent sessions)")
 		branchTurns = flag.Int("branch-turns", 2, "trunk turns shared within a branching family")
-		shardsN     = flag.Int("shards", 0, "advance replica engines on N worker goroutines between gateway-event barriers (0 = legacy single-heap runner; 1 = the barrier algorithm inline, the serial reference; output is byte-identical at any N; requires open-loop, static fleet)")
+		shardsN     = flag.Int("shards", 0, "advance replica engines on N worker goroutines between gateway-event barriers (0 and 1 = the serial run; output is byte-identical at any N)")
 		fuseDecode  = flag.Bool("fuse-decode", false, "collapse provably identical decode iterations of a stable group into one simulator event on replicas that support it (observationally exact; only event counts change)")
 		seed        = flag.Int64("seed", 42, "workload and policy seed (runs are deterministic per seed)")
 		verbose     = flag.Bool("v", false, "print per-replica request/hit/cache breakdowns")
@@ -323,14 +324,6 @@ func main() {
 	}
 	if *shardsN < 0 {
 		fmt.Fprintln(os.Stderr, "loongserve-fleet: -shards must be >= 0")
-		os.Exit(2)
-	}
-	if *shardsN > 0 && *closedLoop {
-		fmt.Fprintln(os.Stderr, "loongserve-fleet: sharded runs need zero-lookahead arrivals; drop -closed-loop or -shards")
-		os.Exit(2)
-	}
-	if *autoScale && *shardsN > 0 {
-		fmt.Fprintln(os.Stderr, "loongserve-fleet: -shards runs against a static fleet; drop -autoscale")
 		os.Exit(2)
 	}
 

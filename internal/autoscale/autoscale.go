@@ -19,8 +19,9 @@
 //
 // Run and RunKinds build a one-group starting fleet, put the control
 // loop's tick on its simulator, and end in fleet.SessionFeed.Run, the tail
-// every session run takes. Elastic fleets need the single-heap runner:
-// fleet.Config.Shards must be zero.
+// every session run takes. Scale-ups join the replica set at a barrier of
+// the fleet's one runner, so elastic fleets run at any fleet.Config.Shards
+// with identical output.
 package autoscale
 
 import (
@@ -411,11 +412,6 @@ func RunKinds(scripts []workload.SessionScript, fcfg fleet.Config, acfg Config, 
 // the simulator, and run the feed to its end. kinds are the scale-up
 // candidates (nil for the homogeneous controller).
 func run(base *fleet.ReplicaKind, kinds []*fleet.ReplicaKind, scripts []workload.SessionScript, fcfg fleet.Config, acfg Config, closed bool) (*Result, error) {
-	if fcfg.Shards > 0 {
-		// The sharded runner's replica set is static: AddReplica refuses,
-		// so the controller could never scale and would tick forever.
-		return nil, fmt.Errorf("autoscale: elastic fleets cannot run sharded (Shards=%d); use Shards=0", fcfg.Shards)
-	}
 	for _, k := range kinds {
 		if err := k.Resolve(); err != nil {
 			return nil, err

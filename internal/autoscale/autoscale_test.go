@@ -1,6 +1,9 @@
 package autoscale_test
 
 import (
+	"fmt"
+	"hash/fnv"
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,6 +11,8 @@ import (
 	"loongserve/internal/cluster"
 	"loongserve/internal/fleet"
 	"loongserve/internal/model"
+	"loongserve/internal/obs"
+	"loongserve/internal/obs/analyze"
 	"loongserve/internal/serving"
 	"loongserve/internal/simevent"
 	"loongserve/internal/workload"
@@ -363,20 +368,65 @@ func TestRunKindsValidation(t *testing.T) {
 	}
 }
 
-// TestRejectsSharded: a sharded fleet is static (AddReplica refuses), so an
-// elastic run must be refused up front rather than tick forever against a
-// fleet it can never grow. MaxEvents keeps a regression from spinning.
-func TestRejectsSharded(t *testing.T) {
-	scripts := burstyScripts(t, 200, 21)
-	fcfg := fleet.Config{Policy: fleet.NewMigratingAffinity(), Shards: 2, MaxEvents: 200_000}
-	acfg := testConfig()
-	acfg.Kinds = []*fleet.ReplicaKind{fleet.NewKind("small", kindSpec(1)), fleet.NewKind("big", kindSpec(4))}
-	for _, closed := range []bool{false, true} {
-		if _, err := autoscale.Run(slowSpec(), scripts, fcfg, testConfig(), closed); err == nil {
-			t.Errorf("closed=%v: Run accepted a sharded fleet", closed)
-		}
-		if _, err := autoscale.RunKinds(scripts, fcfg, acfg, closed); err == nil {
-			t.Errorf("closed=%v: RunKinds accepted a sharded fleet", closed)
+// digest is FNV-1a over the %+v rendering of v.
+func digest(v any) uint64 {
+	f := fnv.New64a()
+	fmt.Fprintf(f, "%+v", v)
+	return f.Sum64()
+}
+
+// TestShardedMatchesSerial: an elastic fleet grows its replica set at the
+// runner's barriers, so autoscale.Run and RunKinds are byte-identical at
+// Shards 1, 2 and 4 — records, replica stats, lifecycle events, controller
+// decisions and the obs stream, all audit-clean — and match digests
+// recorded from the retired single-heap runner. MaxEvents keeps a control
+// loop that never finishes from spinning.
+func TestShardedMatchesSerial(t *testing.T) {
+	big := fleet.NewKind("big", kindSpec(4))
+	kinds := testConfig()
+	kinds.Kinds = []*fleet.ReplicaKind{fleet.NewKind("small", kindSpec(1)), big}
+	cases := []struct {
+		name string
+		run  func(fcfg fleet.Config) (*autoscale.Result, error)
+		want [4]uint64 // records, replicas, events, obs stream
+	}{
+		{"Run", func(fcfg fleet.Config) (*autoscale.Result, error) {
+			fcfg.Policy = fleet.NewMigratingAffinity()
+			return autoscale.Run(slowSpec(), burstyScripts(t, 200, 21), fcfg, testConfig(), true)
+		}, [4]uint64{0x901d986a7b8e214, 0xdc37b6f9ae4e9e3d, 0x4eaabb3a85cc725c, 0xb5655d7b4d15501e}},
+		{"RunKinds", func(fcfg fleet.Config) (*autoscale.Result, error) {
+			fcfg.Policy, fcfg.SLOKind, fcfg.SLOScale = fleet.NewCapabilityAffinity(), big, 5
+			return autoscale.RunKinds(mixedScripts(t, 48, 3), fcfg, kinds, true)
+		}, [4]uint64{0xeaa08c33241c10b, 0xc202fa55542d4d7d, 0xffba12b285fe208, 0xb6ca38a4cc2090}},
+	}
+	for _, c := range cases {
+		var ref *autoscale.Result
+		var refEv []obs.Event
+		for _, shards := range []int{1, 2, 4} {
+			col := &obs.Collector{}
+			res, err := c.run(fleet.Config{Shards: shards, Obs: col, MaxEvents: 2_000_000})
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", c.name, shards, err)
+			}
+			if vs := analyze.Audit(col.Events); len(vs) != 0 {
+				t.Fatalf("%s shards=%d: audit found %d violations, first: %s", c.name, shards, len(vs), vs[0])
+			}
+			got := [4]uint64{digest(res.Records), digest(res.Replicas), digest(res.Events), digest(col.Events)}
+			if got != c.want {
+				t.Errorf("%s shards=%d: digests %#x, recorded single-heap %#x", c.name, shards, got, c.want)
+			}
+			if ref == nil {
+				ref, refEv = res, col.Events
+				continue
+			}
+			if !reflect.DeepEqual(res.Records, ref.Records) || !reflect.DeepEqual(res.Replicas, ref.Replicas) ||
+				!reflect.DeepEqual(res.Events, ref.Events) || !reflect.DeepEqual(col.Events, refEv) {
+				t.Fatalf("%s shards=%d: run differs from shards=1", c.name, shards)
+			}
+			if res.Ticks != ref.Ticks || res.ScaleUps != ref.ScaleUps || res.ScaleDowns != ref.ScaleDowns ||
+				res.PeakReplicas != ref.PeakReplicas || res.SimEvents != ref.SimEvents || res.End != ref.End {
+				t.Fatalf("%s shards=%d: controller or run accounting differs from shards=1", c.name, shards)
+			}
 		}
 	}
 }

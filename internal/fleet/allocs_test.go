@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"testing"
+
+	"loongserve/internal/obs"
+	"loongserve/internal/simevent"
 )
 
 // The node pools exist so steady-state churn — resident sets turning over
@@ -81,6 +84,36 @@ func TestShardBufSteadyStateZeroAllocs(t *testing.T) {
 		buf.reset()
 	}); avg != 0 {
 		t.Fatalf("shard buffer fill/reset cycle allocates %.1f per run, want 0", avg)
+	}
+}
+
+// TestShardReplayZeroAllocs covers the barrier merge: replaying buffered
+// engine output from several replicas in canonical order must reuse the
+// merge scratch and sort without allocating.
+func TestShardReplayZeroAllocs(t *testing.T) {
+	cfg := toyFleet(4, nil)
+	cfg.Obs = obs.Tee{} // a sink that drops everything
+	g, err := NewGatewayGroups(cfg, simevent.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func() {
+		for i := 0; i < 8; i++ {
+			for ri, rep := range g.replicas {
+				// Interleaved times and same-instant ties across replicas.
+				rep.buf.Emit(obs.Event{At: simevent.Time((i*7 + ri*3) % 11), Replica: ri})
+			}
+		}
+	}
+	fill()
+	g.shard.replay() // warm the merge scratch
+	if avg := testing.AllocsPerRun(200, func() {
+		fill()
+		if !g.shard.replay() {
+			t.Fatal("replay found no buffered entries")
+		}
+	}); avg != 0 {
+		t.Fatalf("barrier replay of buffered entries allocates %.1f per run, want 0", avg)
 	}
 }
 

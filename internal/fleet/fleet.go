@@ -158,14 +158,14 @@ type Config struct {
 	// MaxEvents bounds the simulation as a divergence backstop.
 	MaxEvents uint64
 
-	// Shards switches the run onto the sharded multi-core runner (shard.go):
-	// every replica engine advances on its own private simevent heap between
-	// gateway-event barriers, with replicas partitioned round-robin over
-	// Shards worker goroutines. Shards == 1 runs the identical barrier
-	// algorithm inline — the serial reference the determinism tests compare
-	// against; any N produces byte-identical output to it by construction.
-	// 0 keeps the legacy single-heap runner. Sharded runs require an
-	// open-loop feed and a static fleet (no autoscaling driver).
+	// Shards is the number of worker goroutines the fleet's one runner
+	// (shard.go) advances replica engines on: every replica engine runs on
+	// its own private simevent heap between gateway-event barriers, with
+	// replicas partitioned round-robin over the workers. 0 and 1 both run
+	// the barrier algorithm inline — the serial run the determinism tests
+	// compare against; any N produces byte-identical output to it by
+	// construction, for open- and closed-loop feeds, faults, hedging and
+	// fleets that grow or drain mid-run alike. Negative is an error.
 	Shards int
 	// FuseDecode enables decode-iteration fusion on every replica engine
 	// implementing serving.DecodeFuser. Fusion is observationally exact —
@@ -448,7 +448,7 @@ func runToEnd(g *Gateway, what string, progress func() (completed, total int), t
 			panic(p)
 		}
 	}()
-	g.runLoop()
+	g.shard.run()
 
 	if done, total := progress(); done != total {
 		return nil, fmt.Errorf("fleet: %d of %d %s completed (policy %s)", done, total, what, g.PolicyName())

@@ -100,8 +100,8 @@ type replica struct {
 	// stream. Nil when observability is off or the engine is not Traceable.
 	sink *gatedSink
 	// buf collects this replica's completions and obs events during a
-	// sharded run's parallel phase, for ordered replay at the next barrier
-	// (shard.go). Nil on the legacy single-heap runner.
+	// window's parallel phase, for ordered replay at the next barrier
+	// (shard.go).
 	buf *shardBuf
 
 	outTokens int // routed prompt+output tokens not yet completed
@@ -302,9 +302,9 @@ type Gateway struct {
 	// Hedging state: the distribution of observed TTFT seconds per
 	// prefilled token, and a memoized quantile of it (recomputed only when
 	// the sample count changed).
-	hedgeDist   metrics.Dist
-	hedgeQ      float64
-	hedgeQAtN   int
+	hedgeDist metrics.Dist
+	hedgeQ    float64
+	hedgeQAtN int
 
 	// sessionHome tracks, per session cache key, the replica that currently
 	// owns (or is about to receive) the session's KV — the gateway's routing
@@ -371,16 +371,21 @@ type Gateway struct {
 	samplerEv   *simevent.Event
 	obsSessions map[PrefixKey]int64
 
-	// shard is the sharded multi-core runner (shard.go), non-nil when
-	// Config.Shards > 0. Every replica then owns a private simevent heap
-	// (rep.env.Sim != g.sim) and the fleet is static: AddReplica and
-	// closed-loop feeds are rejected.
+	// shard is the run's simulation loop (shard.go): every replica owns a
+	// private simevent heap (rep.env.Sim != g.sim) that advances in windows
+	// between gateway events, on Config.Shards worker goroutines.
 	shard *shardRunner
+	// lookahead, when set, bounds how soon a completion can release new
+	// gateway work: the smallest next-turn think time among requests in
+	// flight (noLookahead when none will release any). A closed-loop
+	// SessionFeed sets it; nil means completions release no arrivals.
+	lookahead func() simevent.Duration
 }
 
 // NewGateway builds a gateway with cfg.Replicas active replicas cloned
 // from spec — the homogeneous shim over NewGatewayGroups, bit-identical to
-// the pre-composition gateway.
+// the pre-composition gateway. As there, the caller may schedule events on
+// sim, but the gateway runs it.
 func NewGateway(spec Spec, cfg Config, sim *simevent.Sim) (*Gateway, error) {
 	if cfg.Groups != nil {
 		return nil, fmt.Errorf("fleet: NewGateway takes a Spec, not Config.Groups (use NewGatewayGroups)")
@@ -396,9 +401,11 @@ func NewGateway(spec Spec, cfg Config, sim *simevent.Sim) (*Gateway, error) {
 }
 
 // NewGatewayGroups builds a gateway from the fleet composition cfg.Groups:
-// for each group, Count active replicas of Kind, in group order. The
-// caller owns the simulator: schedule arrivals via Submit and run it to
-// completion, then call Finalize. The first group's kind is the reference
+// for each group, Count active replicas of Kind, in group order. sim is
+// the gateway's own heap: the caller may schedule events on it (arrivals
+// calling Submit, lifecycle actions), but never runs it — the gateway's
+// loop does (a feed's Run, shard.go), advancing sim together with every
+// replica's private heap. The first group's kind is the reference
 // configuration for migration pricing and (unless cfg.SLOKind overrides)
 // SLO budgets.
 func NewGatewayGroups(cfg Config, sim *simevent.Sim) (*Gateway, error) {
@@ -448,8 +455,8 @@ func NewGatewayGroups(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 		}
 		cfg.Directory = true // spills register at DirCold; fetches route off it
 	}
-	if err := validateSharded(cfg); err != nil {
-		return nil, err
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("fleet: negative shard count %d", cfg.Shards)
 	}
 	sim.MaxEvents = cfg.MaxEvents
 
@@ -493,9 +500,7 @@ func NewGatewayGroups(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 			rep.state = ReplicaActive
 		}
 	}
-	if cfg.Shards > 0 {
-		g.shard = newShardRunner(g, cfg.Shards)
-	}
+	g.shard = newShardRunner(g, cfg.Shards)
 	// The initial composition is the control-plane group's epoch-1
 	// membership (construction is not a lifecycle *change*; every scale-up,
 	// drain and crash repair after this travels as a ScalePlan).
@@ -571,7 +576,6 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 	}
 	rep.stats.Kind = kind.Name
 	rep.env = &serving.Env{
-		Sim:     g.sim,
 		Cluster: c,
 		CM:      costmodel.New(c.Model, c.HW),
 		Pool:    c.NewPool(),
@@ -608,18 +612,16 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 			rep.cache.setObserver(&dirShim{g: g, rep: rep})
 		}
 	}
-	if g.cfg.Shards > 0 {
-		// Sharded runner: the engine lives on a private heap and reports
-		// completions (and, below, obs events) into the replica's barrier
-		// buffer instead of straight into the gateway.
-		rs := simevent.New()
-		rs.MaxEvents = g.cfg.MaxEvents
-		rep.env.Sim = rs
-		rep.buf = &shardBuf{}
-		rep.env.Complete = func(r *serving.Request) { rep.buf.complete(rs.Now(), r) }
-	} else {
-		rep.env.Complete = func(r *serving.Request) { g.complete(rep, r) }
-	}
+	// The engine lives on a private heap, born at the gateway's clock (a
+	// replica provisioned mid-run joins at a barrier), and reports
+	// completions (and, below, obs events) into the replica's barrier
+	// buffer instead of straight into the gateway.
+	rs := simevent.New()
+	rs.MaxEvents = g.cfg.MaxEvents
+	rs.AdvanceTo(g.sim.Now())
+	rep.env.Sim = rs
+	rep.buf = &shardBuf{}
+	rep.env.Complete = func(r *serving.Request) { rep.buf.complete(rs.Now(), r) }
 	if g.cfg.FuseDecode {
 		if df, ok := rep.engine.(serving.DecodeFuser); ok {
 			df.SetDecodeFusion(true)
@@ -631,11 +633,7 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 		// missed. The gate lets a crash silence the engine's remaining
 		// simulated events without an engine-side cancel API.
 		if tr, ok := rep.engine.(serving.Traceable); ok {
-			inner := g.obsSink
-			if rep.buf != nil {
-				inner = rep.buf
-			}
-			rep.sink = &gatedSink{sink: inner}
+			rep.sink = &gatedSink{sink: rep.buf}
 			tr.AttachObsSink(rep.sink, rep.index)
 		}
 	}
@@ -799,15 +797,11 @@ func (g *Gateway) AddReplica(warmup time.Duration) (int, error) {
 
 // AddReplicaKind provisions a new replica of the given kind — the
 // scale-up primitive of kind-picking autoscalers. The kind need not be
-// part of the initial composition.
+// part of the initial composition. Called from a gateway event (or before
+// the run), it grows the replica set at a barrier.
 func (g *Gateway) AddReplicaKind(kind *ReplicaKind, warmup time.Duration) (int, error) {
 	if kind == nil {
 		return 0, fmt.Errorf("fleet: AddReplicaKind with nil kind")
-	}
-	if g.shard != nil {
-		// Mid-run provisioning would change the replica partition under the
-		// worker pool; sharded runs are static fleets by contract.
-		return 0, fmt.Errorf("fleet: AddReplica is unsupported on a sharded run (Shards=%d)", g.cfg.Shards)
 	}
 	rep, err := g.newReplica(kind)
 	if err != nil {
@@ -1301,22 +1295,19 @@ func (g *Gateway) SessionLocations(sessionID int64) map[int]int {
 }
 
 // Finalize assembles the run's Result: per-replica stats, replica-seconds
-// and the makespan. Call after the simulator has run to completion.
+// and the makespan. Call after the gateway's loop has run to completion.
 func (g *Gateway) Finalize() *Result {
 	g.ctl.close()
+	// Replica heaps are private: the makespan is the latest clock anywhere
+	// (ghost engines keep draining past the last gateway event) and the
+	// event count sums every heap.
 	end := g.sim.Now()
 	fired := g.sim.Fired()
-	if g.shard != nil {
-		// Replica heaps are private in sharded mode: the makespan is the
-		// latest clock anywhere (ghost engines keep draining past the last
-		// gateway event, exactly as they do on the shared heap) and the event
-		// count sums every heap.
-		for _, rep := range g.replicas {
-			if t := rep.env.Sim.Now(); t > end {
-				end = t
-			}
-			fired += rep.env.Sim.Fired()
+	for _, rep := range g.replicas {
+		if t := rep.env.Sim.Now(); t > end {
+			end = t
 		}
+		fired += rep.env.Sim.Fired()
 	}
 	g.res.End = time.Duration(end)
 	g.res.SimEvents = fired

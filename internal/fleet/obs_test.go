@@ -113,7 +113,7 @@ func TestObsDrainEmitsLifecycleAndMigrates(t *testing.T) {
 			t.Errorf("drain: %v", err)
 		}
 	})
-	sim.Run()
+	g.shard.run()
 	if feed.Completed() != feed.Total() {
 		t.Fatalf("%d of %d completed", feed.Completed(), feed.Total())
 	}

@@ -255,7 +255,7 @@ func TestRadixGatewayCrossSessionSharing(t *testing.T) {
 		r2 := &serving.Request{ID: 2, InputLen: e2.InputLen, OutputLen: e2.OutputLen,
 			Arrival: simevent.Time(time.Second)}
 		sim.At(simevent.Time(time.Second), func() { g.Submit(r2, e2) })
-		sim.Run()
+		g.shard.run()
 		if g.Completed() != 2 {
 			t.Fatalf("%d of 2 completed", g.Completed())
 		}
@@ -313,7 +313,7 @@ func TestRadixGatewayDrainMovesSubtrees(t *testing.T) {
 			}
 		}
 	})
-	sim.Run()
+	g.shard.run()
 
 	if len(victims) != 1 {
 		t.Fatal("drain never ran")

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"time"
 
@@ -42,6 +41,11 @@ type SessionFeed struct {
 	emitted   int
 	completed int
 
+	// thinks holds, in closed-loop mode and ascending, the next-turn think
+	// time of every in-flight request that has a next turn: its minimum is
+	// the gateway's lookahead, the earliest a completion can release a turn.
+	thinks []simevent.Duration
+
 	// Trace records every emitted request in submission order; index i
 	// corresponds to request ID i+1, so records can be joined back to
 	// (session, turn) identities.
@@ -74,6 +78,7 @@ func newSessionFeed(g *Gateway, next func() []workload.SessionScript, closed boo
 	f := &SessionFeed{g: g, next: next, closed: closed}
 	if closed {
 		f.byID = make(map[int64]*workload.SessionScript)
+		g.lookahead = f.lookahead
 	}
 	g.OnComplete = f.onComplete
 	f.scheduleNext()
@@ -88,18 +93,11 @@ func (f *SessionFeed) Total() int { return f.total }
 // Completed returns the number of finished requests.
 func (f *SessionFeed) Completed() int { return f.completed }
 
-// Run runs the gateway's simulator until the workload drains, checks that
+// Run runs the gateway's loop until the workload drains, checks that
 // every request completed, and returns the finalized Result with the
 // feed's Trace attached. An engine OOM panic comes back as its
-// *serving.ErrOOM error. A closed-loop feed on a sharded gateway is
-// refused before anything runs.
+// *serving.ErrOOM error.
 func (f *SessionFeed) Run() (*Result, error) {
-	if f.closed && f.g.shard != nil {
-		// A closed-loop feed schedules the next turn at completion time with
-		// zero lookahead, so no gateway timestamp bounds future engine
-		// interactions — the window invariant the sharded runner rests on.
-		return nil, fmt.Errorf("fleet: closed-loop session feeds cannot run sharded (Shards=%d); use an open-loop feed or Shards=0", f.g.cfg.Shards)
-	}
 	return runToEnd(f.g, "session requests", func() (int, int) { return f.completed, f.total }, &f.Trace)
 }
 
@@ -130,7 +128,8 @@ func (f *SessionFeed) scheduleNext() {
 }
 
 // emit submits turn t of script s at the current simulated time and, in
-// open-loop mode, chains the next turn's arrival off this one.
+// open-loop mode, chains the next turn's arrival off this one; in
+// closed-loop mode the next turn's think time joins the lookahead.
 func (f *SessionFeed) emit(s *workload.SessionScript, t int) {
 	e := s.Entry(t)
 	f.emitted++
@@ -151,8 +150,14 @@ func (f *SessionFeed) emit(s *workload.SessionScript, t int) {
 		SLOBudget: f.g.SLOBudget(e.InputLen, e.OutputLen),
 	}
 	f.g.Submit(r, e)
-	if !f.closed && t+1 < len(s.Turns) {
-		f.g.sim.After(simevent.FromSeconds(s.Turns[t].Think), func() { f.emit(s, t+1) })
+	if t+1 < len(s.Turns) {
+		think := simevent.FromSeconds(s.Turns[t].Think)
+		if f.closed {
+			i, _ := slices.BinarySearch(f.thinks, think)
+			f.thinks = slices.Insert(f.thinks, i, think)
+		} else {
+			f.g.sim.After(think, func() { f.emit(s, t+1) })
+		}
 	}
 }
 
@@ -168,8 +173,20 @@ func (f *SessionFeed) onComplete(e workload.Entry, _ metrics.Record) {
 		return
 	}
 	if t := e.Turn; t+1 < len(s.Turns) {
-		f.g.sim.After(simevent.FromSeconds(s.Turns[t].Think), func() { f.emit(s, t+1) })
+		think := simevent.FromSeconds(s.Turns[t].Think)
+		i, _ := slices.BinarySearch(f.thinks, think)
+		f.thinks = slices.Delete(f.thinks, i, i+1)
+		f.g.sim.After(think, func() { f.emit(s, t+1) })
 	}
+}
+
+// lookahead is the gateway's closed-loop lookahead: the smallest
+// next-turn think time in flight, noLookahead when none is.
+func (f *SessionFeed) lookahead() simevent.Duration {
+	if len(f.thinks) == 0 {
+		return noLookahead
+	}
+	return f.thinks[0]
 }
 
 // RunSessionStream replays a lazily sampled open-loop session workload

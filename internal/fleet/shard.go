@@ -1,9 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"loongserve/internal/obs"
@@ -11,43 +12,54 @@ import (
 	"loongserve/internal/simevent"
 )
 
-// Sharded single-run execution: conservative time-window synchronization.
+// The fleet's simulation loop: conservative time-window synchronization.
 //
-// The legacy runner advances the gateway and every replica engine on one
-// simevent heap, which serializes a 64-replica fleet onto one core. The
-// sharded runner gives each replica engine a private heap and exploits the
-// fleet's causality structure:
+// Every run, at every Config.Shards value, goes through this runner. The
+// gateway owns one simevent heap and every replica engine another, private
+// one; the runner exploits the fleet's causality structure:
 //
 //   - Replicas share nothing: an engine event can only read or write its
 //     own replica's cluster, pool, cost model and request state.
 //   - Every gateway→engine interaction (Arrive, Load) happens inside a
 //     gateway event — a route, a hedge launch, a stall release, a fault, a
-//     sampler tick — or inside completion replay at the barrier.
-//   - With an open-loop feed, every gateway event's timestamp is known
-//     before the window opens: arrivals are staged or chained off earlier
-//     arrivals, hedge timers arm at delivery, faults are pre-staged, and
-//     migration/stall/cold-fetch timers arm at route time. Completion
-//     processing schedules no engine-touching events (closed-loop feeds
-//     would — their next turn fires think-time after a completion with
-//     zero lookahead — which is why sharded runs reject closed loops).
+//     sampler tick, an autoscaler tick — or inside completion replay at
+//     the barrier.
+//   - Every gateway event's timestamp is known before a window opens, or
+//     follows a completion by at least the lookahead λ. Arrivals are
+//     staged or chained off earlier arrivals, hedge timers arm at delivery,
+//     faults are pre-staged, migration/stall/cold-fetch and warm-up timers
+//     arm inside gateway events. A closed-loop feed's next turn fires its
+//     think time after a completion, so λ is the smallest next-turn think
+//     time among the requests in flight when the window opens
+//     (Gateway.lookahead, kept by the SessionFeed); an open-loop feed has
+//     λ = ∞.
 //
-// So the next gateway timestamp W is a conservative lower bound on any
-// future interaction with any engine: every replica may advance its private
-// heap through everything strictly before W, in parallel, with no shared
-// state. At the barrier, buffered engine output — completions and obs
-// events — replays into the gateway in the canonical merge order
-// (time, replica index, per-replica emission order), then the gateway fires
-// exactly one event at W with every replica clock synced to W, and the loop
+// So with W the next gateway timestamp and H the earliest pending replica
+// event, every replica may advance its private heap through everything
+// strictly before the window bound min(W, H + max(λ, 1ns)), in parallel,
+// with no shared state: a completion at c >= H can only submit work at a
+// gateway event at c + λ or later. (With λ = 0 the window is the instant
+// H, and the turns it releases fire after the replica events at H.) At the
+// barrier, buffered engine output — completions and obs events — replays
+// into the gateway in the canonical merge order (time, replica index,
+// per-replica emission order). A completion may schedule gateway work
+// that touches no engine (a drain handoff landing); replay fires whatever
+// of it falls due before the next buffered entry, so the gateway clock
+// only moves forward. When the window reached W, the gateway fires exactly
+// one event there with every replica clock synced to W, and the loop
 // repeats.
 //
-// Determinism: the parallel phase touches no shared state and the merge
-// order is independent of how replicas are partitioned over workers, so
-// every shard count produces byte-identical output to Shards=1 — the same
-// argument PR 3's parallel experiment arms made, one level deeper. (The
-// legacy runner may order same-instant events across replicas differently —
-// by heap sequence instead of replica index — so the identity contract is
-// between shard counts of this runner, with Shards=1 as the serial
-// reference.)
+// Determinism: the window bounds depend only on global simulated state,
+// the parallel phase touches no shared state, and the merge order is
+// independent of how replicas are partitioned over workers, so every
+// shard count produces byte-identical output to the serial run (Shards 0
+// or 1) — the argument the parallel experiment arms rest on, one level
+// deeper. Replicas provisioned mid-run (AddReplicaKind) join at a
+// barrier with a private heap already at the gateway's clock.
+
+// noLookahead is the lookahead of a feed whose completions release no
+// gateway work: the window bound is the next gateway event.
+const noLookahead = simevent.Duration(math.MaxInt64)
 
 // timeInf is the advance bound once the gateway has no pending events.
 const timeInf = simevent.Time(math.MaxInt64)
@@ -91,55 +103,55 @@ type mergeRef struct {
 	rep, idx int32
 }
 
-// shardRunner drives a sharded fleet run.
+// shardRunner drives a fleet run.
 type shardRunner struct {
 	g       *Gateway
-	workers int
+	workers int // Config.Shards, at least 1
 
 	advancedTo simevent.Time // replicas have drained strictly below this
 	merged     []mergeRef    // barrier merge scratch
 
-	// Worker pool (workers > 1): persistent goroutines, replica i handled
-	// by worker i%workers. bound is written by the coordinator before the
-	// start signals and read by workers after them (channel happens-before).
+	// Worker pool (workers > 1): persistent goroutines; while a window
+	// runs, replica i is handled by worker i%active, active being the
+	// pool size capped at the replica count. bound and active are written
+	// by the coordinator before the start signals and read by workers
+	// after them (channel happens-before), so the replica set may grow
+	// between windows.
 	bound  simevent.Time
+	active int
 	start  []chan struct{}
 	wg     sync.WaitGroup
 	panics []any
 }
 
 func newShardRunner(g *Gateway, workers int) *shardRunner {
-	if workers > len(g.replicas) {
-		workers = len(g.replicas)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &shardRunner{g: g, workers: workers}
+	return &shardRunner{g: g, workers: max(workers, 1)}
 }
 
-// run executes the whole simulation: the sharded replacement for Sim.Run.
+// run executes the whole simulation: every gateway and replica event, in
+// windows, until no event is pending anywhere.
 func (s *shardRunner) run() {
 	if s.workers > 1 && s.start == nil {
 		s.start = make([]chan struct{}, s.workers)
 		s.panics = make([]any, s.workers)
 		for w := range s.start {
 			s.start[w] = make(chan struct{}, 1)
-			go s.worker(w)
+			go s.worker(w, s.start[w])
 		}
 	}
 	defer s.stop()
 	for {
-		bound, ok := s.g.sim.Head()
+		w, ok := s.g.sim.Head()
 		if !ok {
-			// No gateway work left: drain every replica completely, replay
-			// what that produced (which may schedule new gateway events —
-			// drain handoff installs do), and finish when nothing surfaced.
-			s.advance(timeInf)
-			if s.replay() {
-				continue
+			w = timeInf
+		}
+		bound := w
+		if s.g.lookahead != nil {
+			if la := s.g.lookahead(); la != noLookahead {
+				if h, busy := s.replicaHead(); busy && h < w {
+					bound = min(w, h.Add(max(la, 1)))
+				}
 			}
-			return
 		}
 		if bound > s.advancedTo {
 			s.advance(bound)
@@ -148,14 +160,44 @@ func (s *shardRunner) run() {
 		if s.replay() {
 			continue // completions < bound must land before the event at bound
 		}
-		// Barrier: sync every replica clock to the window bound, then fire
-		// exactly one gateway event there. Anything it injects into an
-		// engine lands at the engine's present.
-		for _, rep := range s.g.replicas {
-			rep.env.Sim.AdvanceTo(bound)
+		if bound < w {
+			continue // a lookahead window closed short of the next gateway event
 		}
-		s.g.sim.Step()
+		if !ok {
+			return // every replica drained and nothing surfaced
+		}
+		// Barrier: sync every replica clock to W, then fire exactly one
+		// gateway event there. Anything it injects into an engine lands at
+		// the engine's present, so replicas hold nothing below W.
+		for _, rep := range s.g.replicas {
+			rep.env.Sim.AdvanceTo(w)
+		}
+		s.stepGateway()
+		s.advancedTo = w
 	}
+}
+
+// stepGateway fires the gateway's next event, enforcing MaxEvents on the
+// gateway heap as Sim.Run would (replica heaps enforce their own in
+// RunBefore), so a control loop that ticks forever still fails.
+func (s *shardRunner) stepGateway() {
+	sim := s.g.sim
+	if sim.MaxEvents > 0 && sim.Fired() >= sim.MaxEvents {
+		panic(fmt.Sprintf("simevent: exceeded MaxEvents=%d at t=%v", sim.MaxEvents, sim.Now()))
+	}
+	sim.Step()
+}
+
+// replicaHead returns the earliest pending event across every replica
+// heap; busy=false when every replica is idle.
+func (s *shardRunner) replicaHead() (h simevent.Time, busy bool) {
+	h = timeInf
+	for _, rep := range s.g.replicas {
+		if t, ok := rep.env.Sim.Head(); ok && t < h {
+			h, busy = t, true
+		}
+	}
+	return h, busy
 }
 
 // advance runs every replica's private heap through all events strictly
@@ -171,15 +213,16 @@ func (s *shardRunner) advance(bound simevent.Time) {
 	if !work {
 		return
 	}
-	if s.workers <= 1 {
+	s.active = min(s.workers, len(s.g.replicas))
+	if s.active <= 1 {
 		for _, rep := range s.g.replicas {
 			rep.env.Sim.RunBefore(bound)
 		}
 		return
 	}
 	s.bound = bound
-	s.wg.Add(s.workers)
-	for _, ch := range s.start {
+	s.wg.Add(s.active)
+	for _, ch := range s.start[:s.active] {
 		ch <- struct{}{}
 	}
 	s.wg.Wait()
@@ -192,8 +235,8 @@ func (s *shardRunner) advance(bound simevent.Time) {
 }
 
 // worker advances its replica partition each time the coordinator signals.
-func (s *shardRunner) worker(w int) {
-	for range s.start[w] {
+func (s *shardRunner) worker(w int, start <-chan struct{}) {
+	for range start {
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
@@ -202,7 +245,7 @@ func (s *shardRunner) worker(w int) {
 				s.wg.Done()
 			}()
 			reps := s.g.replicas
-			for i := w; i < len(reps); i += s.workers {
+			for i := w; i < len(reps); i += s.active {
 				reps[i].env.Sim.RunBefore(s.bound)
 			}
 		}()
@@ -217,18 +260,28 @@ func (s *shardRunner) stop() {
 	s.start = nil
 }
 
+// compareMerge is the canonical barrier merge order: time, replica index,
+// per-replica emission order.
+func compareMerge(a, b mergeRef) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	if a.rep != b.rep {
+		return cmp.Compare(a.rep, b.rep)
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
 // replay drains every replica's buffer into the gateway in the canonical
-// (time, replica index, emission order) merge order: obs events re-emit to
-// the run's sink, completions process through Gateway.complete with the
-// gateway clock advanced to the completion instant. Reports whether
-// anything replayed (completion processing can schedule new gateway events,
-// so the caller must recompute its window).
+// merge order: obs events re-emit to the run's sink, completions process
+// through Gateway.complete with the gateway clock advanced to the
+// completion instant. Gateway events a completion scheduled that fall due
+// before the next entry fire first, in time order. Reports whether
+// anything replayed (completion processing can schedule new gateway
+// events, so the caller must recompute its window).
 func (s *shardRunner) replay() bool {
 	merged := s.merged[:0]
 	for ri, rep := range s.g.replicas {
-		if rep.buf == nil {
-			continue
-		}
 		for ei := range rep.buf.entries {
 			merged = append(merged, mergeRef{at: rep.buf.entries[ei].at, rep: int32(ri), idx: int32(ei)})
 		}
@@ -237,60 +290,36 @@ func (s *shardRunner) replay() bool {
 	if len(merged) == 0 {
 		return false
 	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].at != merged[b].at {
-			return merged[a].at < merged[b].at
-		}
-		if merged[a].rep != merged[b].rep {
-			return merged[a].rep < merged[b].rep
-		}
-		return merged[a].idx < merged[b].idx
-	})
+	slices.SortFunc(merged, compareMerge)
+	completed := false // gateway events can fall due only after a completion
 	for _, m := range merged {
+		if completed {
+			for h, ok := s.g.sim.Head(); ok && h < m.at; h, ok = s.g.sim.Head() {
+				s.stepGateway()
+			}
+		}
 		rep := s.g.replicas[m.rep]
 		en := &rep.buf.entries[m.idx]
 		if en.req != nil {
 			s.g.sim.AdvanceTo(en.at)
 			s.g.complete(rep, en.req)
+			completed = true
 		} else {
 			s.g.obsSink.Emit(en.ev)
 		}
 	}
 	for _, rep := range s.g.replicas {
-		if rep.buf != nil {
-			rep.buf.reset()
-		}
+		rep.buf.reset()
 	}
 	return true
 }
 
-// runLoop runs the gateway's simulation to completion on whichever runner
-// the configuration selected.
-func (g *Gateway) runLoop() {
-	if g.shard != nil {
-		g.shard.run()
-		return
-	}
-	g.sim.Run()
-}
-
-// pendingWork counts pending events across the gateway heap and — in
-// sharded mode — every replica's private heap: the sampler's "is the run
-// still alive" signal, equal to Sim.Pending on the legacy single-heap
-// runner by construction.
+// pendingWork counts pending events across the gateway heap and every
+// replica's private heap: the sampler's "is the run still alive" signal.
 func (g *Gateway) pendingWork() int {
 	n := g.sim.Pending()
-	if g.shard != nil {
-		for _, rep := range g.replicas {
-			n += rep.env.Sim.Pending()
-		}
+	for _, rep := range g.replicas {
+		n += rep.env.Sim.Pending()
 	}
 	return n
-}
-
-func validateSharded(cfg Config) error {
-	if cfg.Shards < 0 {
-		return fmt.Errorf("fleet: negative shard count %d", cfg.Shards)
-	}
-	return nil
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"cmp"
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"slices"
 	"testing"
@@ -17,18 +19,75 @@ import (
 	"loongserve/internal/workload"
 )
 
-// shardRun executes one open-loop session run at the given shard count with
-// an obs collector attached, returning the result and the captured stream.
-func shardRun(t *testing.T, scripts []workload.SessionScript, cfg Config, shards int, faults []workload.Fault) (*Result, []obs.Event) {
+// fleetRun is one session run the runner identity tests replay at several
+// shard counts.
+type fleetRun struct {
+	name    string
+	scripts []workload.SessionScript
+	mk      func() Config // a fresh config per run: policies carry state
+	closed  bool
+	faults  []workload.Fault
+	// setup, when set, schedules lifecycle actions on the gateway's heap.
+	setup func(t *testing.T, g *Gateway, sim *simevent.Sim)
+}
+
+// run executes the session run at the given shard count with an obs
+// collector attached, returning the result and the captured stream.
+func (fr fleetRun) run(t *testing.T, shards int) (*Result, []obs.Event) {
 	t.Helper()
 	col := &obs.Collector{}
+	cfg := fr.mk()
 	cfg.Obs = col
 	cfg.Shards = shards
-	res, err := RunSessionsFaults(scripts, cfg, false, faults)
+	sim := simevent.New()
+	g, err := NewGatewayGroups(cfg, sim)
 	if err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
+		t.Fatalf("%s shards=%d: %v", fr.name, shards, err)
+	}
+	InjectFaults(g, fr.faults)
+	feed := FeedSessions(g, fr.scripts, fr.closed)
+	if fr.setup != nil {
+		fr.setup(t, g, sim)
+	}
+	res, err := feed.Run()
+	if err != nil {
+		t.Fatalf("%s shards=%d: %v", fr.name, shards, err)
 	}
 	return res, col.Events
+}
+
+// toyFleet is a fresh config of n toy replicas.
+func toyFleet(n int, p Policy) Config {
+	return Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: n}}, Policy: p}
+}
+
+// radixFleet is toyFleet on the radix cache.
+func radixFleet(n int, p Policy) Config {
+	cfg := toyFleet(n, p)
+	cfg.Cache = CacheRadix
+	return cfg
+}
+
+// provisionThenDrain is a closed-loop elastic run: a replica provisioned
+// at t=1s (warming for 250ms) and replica 0 drained at t=1.5s, with a
+// request still in flight on it.
+func provisionThenDrain() fleetRun {
+	return fleetRun{
+		name: "provision-then-drain", scripts: chatScripts(60, 40, 0.05, 29), closed: true,
+		mk: func() Config { return radixFleet(2, NewMigratingAffinity()) },
+		setup: func(t *testing.T, g *Gateway, sim *simevent.Sim) {
+			sim.At(simevent.Time(time.Second), func() {
+				if _, err := g.AddReplica(250 * time.Millisecond); err != nil {
+					t.Error(err)
+				}
+			})
+			sim.At(simevent.Time(1500*time.Millisecond), func() {
+				if err := g.DrainReplica(0); err != nil {
+					t.Error(err)
+				}
+			})
+		},
+	}
 }
 
 // requireIdentical asserts two runs are observationally byte-identical:
@@ -67,67 +126,95 @@ func requireIdentical(t *testing.T, label string, a, b *Result, aev, bev []obs.E
 	}
 }
 
-// TestShardedMatchesSerial is the tentpole determinism property: for every
-// shard count, a sharded run is byte-identical to the serial reference
-// (Shards=1 — the same window/barrier algorithm with no parallelism),
-// across routing policies, cache modes, the cold tier, and a fault schedule
-// with hedging armed. Worker partitioning must be invisible.
+// TestShardedMatchesSerial is the runner's determinism property: for every
+// shard count, a run is byte-identical to the serial run (Shards=1 — the
+// same window/barrier algorithm with no parallelism), with a clean audit,
+// across routing policies, cache modes, the cold tier, a fault schedule
+// with hedging armed, closed-loop feeds (whose windows the in-flight think
+// times bound, down to zero think time), and a replica set that grows and
+// drains mid-run. Worker partitioning must be invisible.
 func TestShardedMatchesSerial(t *testing.T) {
 	scripts := chatScripts(60, 4, 0.3, 17)
-	cases := []struct {
-		name   string
-		mk     func() Config
-		faults []workload.Fault
-	}{
-		{"least-loaded", func() Config {
-			return Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 4}}, Policy: NewLeastLoaded()}
-		}, nil},
-		{"prefix-affinity-radix", func() Config {
-			return Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 4}}, Policy: NewPrefixAffinity(), Cache: CacheRadix}
-		}, nil},
-		{"cold-tier", func() Config {
-			return Config{
-				Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 4}},
-				Policy: NewPrefixAffinity(), Cache: CacheRadix,
-				CacheTokens: 40_000, ColdTierTokens: 2_000_000,
-			}
-		}, nil},
-		{"faults-hedged", func() Config {
-			return Config{
-				Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 4}},
-				Policy: NewPrefixAffinity(),
-				Hedge:  HedgeConfig{Quantile: 0.9, MinSamples: 10, MinInput: 1},
-			}
-		}, chaosFaults()},
+	hedged := func() Config {
+		cfg := toyFleet(4, NewPrefixAffinity())
+		cfg.Hedge = HedgeConfig{Quantile: 0.9, MinSamples: 10, MinInput: 1}
+		return cfg
+	}
+	cases := []fleetRun{
+		{name: "least-loaded", mk: func() Config { return toyFleet(4, NewLeastLoaded()) }},
+		{name: "prefix-affinity-radix", mk: func() Config { return radixFleet(4, NewPrefixAffinity()) }},
+		{name: "cold-tier", mk: func() Config {
+			cfg := radixFleet(4, NewPrefixAffinity())
+			cfg.CacheTokens, cfg.ColdTierTokens = 40_000, 2_000_000
+			return cfg
+		}},
+		{name: "faults-hedged", mk: hedged, faults: chaosFaults()},
+		{name: "closed-loop", mk: func() Config { return radixFleet(4, NewMigratingAffinity()) }, closed: true},
+		{name: "closed-loop-zero-think", scripts: chatScripts(60, 4, 0, 17),
+			mk: func() Config { return radixFleet(4, NewPrefixAffinity()) }, closed: true},
+		{name: "closed-loop-faults-hedged", mk: hedged, closed: true, faults: chaosFaults()},
+		provisionThenDrain(),
 	}
 	for _, c := range cases {
+		if c.scripts == nil {
+			c.scripts = scripts
+		}
 		t.Run(c.name, func(t *testing.T) {
-			serial, sev := shardRun(t, scripts, c.mk(), 1, c.faults)
+			serial, sev := c.run(t, 1)
 			if vs := analyze.Audit(sev); len(vs) != 0 {
 				t.Fatalf("serial stream failed audit (%d violations), first: %s", len(vs), vs[0])
 			}
 			// 7 > replica count exercises the worker clamp.
 			for _, n := range []int{2, 4, 7} {
-				sharded, shev := shardRun(t, scripts, c.mk(), n, c.faults)
+				sharded, shev := c.run(t, n)
 				requireIdentical(t, c.name, serial, sharded, sev, shev)
 			}
 		})
 	}
 }
 
-// TestShardedMatchesLegacyRunner: the single-heap runner and the sharded
-// runner agree on this workload (no same-instant cross-replica ties, so
-// the canonical merge order coincides with heap order). Not a general
-// guarantee — the identity contract is between shard counts — but a strong
-// cross-implementation check while it holds.
-func TestShardedMatchesLegacyRunner(t *testing.T) {
-	scripts := chatScripts(40, 3, 0.4, 29)
-	mk := func() Config {
-		return Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 3}}, Policy: NewPrefixAffinity(), Cache: CacheRadix}
+// runDigest fingerprints what a recorded reference pins: FNV-1a over the
+// %+v rendering of records, per-replica stats, lifecycle events and the
+// obs stream.
+type runDigest struct{ Records, Replicas, Events, Obs uint64 }
+
+func digestRun(res *Result, ev []obs.Event) runDigest {
+	h := func(v any) uint64 {
+		f := fnv.New64a()
+		fmt.Fprintf(f, "%+v", v)
+		return f.Sum64()
 	}
-	legacy, lev := shardRun(t, scripts, mk(), 0, nil)
-	sharded, shev := shardRun(t, scripts, mk(), 3, nil)
-	requireIdentical(t, "legacy-vs-sharded", legacy, sharded, lev, shev)
+	return runDigest{h(res.Records), h(res.Replicas), h(res.Events), h(ev)}
+}
+
+// TestShardedMatchesLegacyRunner pins the runner to digests recorded from
+// the retired single-heap runner, which ordered same-instant events by heap
+// sequence: an open-loop radix fleet, the same fleet closed-loop, and a
+// closed-loop elastic fleet that provisions a replica and drains another
+// mid-run. None of them ties events across replicas at one instant, so
+// the barrier runner reproduces the old loop exactly, at every shard
+// count.
+func TestShardedMatchesLegacyRunner(t *testing.T) {
+	prefix := func() Config { return radixFleet(3, NewPrefixAffinity()) }
+	cases := []struct {
+		fleetRun
+		want runDigest
+	}{
+		{fleetRun{name: "open-radix", scripts: chatScripts(40, 3, 0.4, 29), mk: prefix},
+			runDigest{0xca84362f2c539f59, 0xdb316dbb44b1b68b, 0x9612b07b5ecb5a5, 0x70f10ff5b1266224}},
+		{fleetRun{name: "closed-loop", scripts: chatScripts(40, 3, 0.4, 29), mk: prefix, closed: true},
+			runDigest{0x8f683e8436f938c1, 0x89389f61459b1ae3, 0x9612b07b5ecb5a5, 0x6e1d5883d0d4d9b}},
+		{provisionThenDrain(),
+			runDigest{0x534371c9b8f10c02, 0x2e2bb07500d0a58c, 0xdcc0914bb5a3da11, 0x5bd14cc0bc176e8d}},
+	}
+	for _, c := range cases {
+		for _, n := range []int{1, 2, 4} {
+			res, ev := c.run(t, n)
+			if got := digestRun(res, ev); got != c.want {
+				t.Errorf("%s shards=%d: digests %#v, recorded legacy %#v", c.name, n, got, c.want)
+			}
+		}
+	}
 }
 
 // loongFleetConfig builds a 2-replica fleet of real ESP engines — the
@@ -146,7 +233,7 @@ func loongFleetConfig() Config {
 
 // TestDecodeFusionIdentity: with fusion on, every observable output is
 // byte-identical to fusion off — records, stats, obs stream — while the
-// simulator fires strictly fewer events. Checked on both runners.
+// simulator fires strictly fewer events. Checked serial and sharded.
 func TestDecodeFusionIdentity(t *testing.T) {
 	cfg := workload.DefaultSessionConfig()
 	cfg.Sessions = 20
@@ -154,12 +241,13 @@ func TestDecodeFusionIdentity(t *testing.T) {
 	cfg.ThinkMean = 2
 	scripts := workload.SessionScripts(cfg, 41)
 
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{1, 2} {
 		run := func(fuse bool) (*Result, []obs.Event) {
-			c := loongFleetConfig()
-			c.FuseDecode = fuse
-			res, ev := shardRun(t, scripts, c, shards, nil)
-			return res, ev
+			return fleetRun{name: "fusion", scripts: scripts, mk: func() Config {
+				c := loongFleetConfig()
+				c.FuseDecode = fuse
+				return c
+			}}.run(t, shards)
 		}
 		plain, pev := run(false)
 		fused, fev := run(true)
@@ -173,44 +261,19 @@ func TestDecodeFusionIdentity(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsClosedLoop: the window invariant needs arrival
-// lookahead, so closed-loop feeds must be refused, not silently corrupted.
-func TestShardedRejectsClosedLoop(t *testing.T) {
-	scripts := chatScripts(5, 2, 0.1, 3)
-	cfg := Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 2}}, Shards: 2}
-	if _, err := RunSessionsGroups(scripts, cfg, true); err == nil {
-		t.Fatal("closed-loop sharded run accepted")
-	}
-	// A feed built by hand is guarded by its own Run, not only by RunSessions*.
-	g, err := NewGatewayGroups(cfg, simevent.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FeedSessions(g, scripts, true).Run(); err == nil {
-		t.Fatal("hand-built closed-loop feed ran sharded")
-	}
-}
-
-// TestShardedRejectsProvisioning: sharded fleets are static — mid-run
-// scale-up would repartition replicas under the worker pool.
-func TestShardedRejectsProvisioning(t *testing.T) {
-	sim := simevent.New()
-	cfg := Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 2}}, Shards: 2}
-	g, err := NewGatewayGroups(cfg, sim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.AddReplica(time.Second); err == nil {
-		t.Fatal("AddReplica accepted on a sharded run")
-	}
-	if _, err := NewGatewayGroups(Config{Groups: cfg.Groups, Shards: -1}, simevent.New()); err == nil {
+// TestShardedRejectsNegativeShards: a negative shard count is a
+// misconfiguration, refused when the gateway is built.
+func TestShardedRejectsNegativeShards(t *testing.T) {
+	cfg := toyFleet(2, nil)
+	cfg.Shards = -1
+	if _, err := NewGatewayGroups(cfg, simevent.New()); err == nil {
 		t.Fatal("negative shard count accepted")
 	}
 }
 
 // TestStreamFeedMatchesEagerFeed: the lazy stream feed replays the same
-// workload to the same records and trace as the eager all-at-once feed, on
-// both runners — lazy sampling changes memory shape, not behavior.
+// workload to the same records and trace as the eager all-at-once feed,
+// serial and sharded — lazy sampling changes memory shape, not behavior.
 func TestStreamFeedMatchesEagerFeed(t *testing.T) {
 	wcfg := workload.DefaultSessionConfig()
 	wcfg.Sessions = 50
