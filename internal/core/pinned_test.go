@@ -32,9 +32,9 @@ func pinnedDigest(recs []serving.Request, eng *Engine, tr *Tracer) uint64 {
 }
 
 // TestPinnedOutputDigests pins the ESP engine's complete output — records,
-// scaling counters and the elastic trace — on a Mixed trace and a
-// long-context trace under every scheduling option, with and without
-// decode fusion. The digests were recorded before the scheduler's
+// scaling counters and the elastic trace — on a Mixed trace, a
+// long-context trace, a preempting trace and a heavy chat trace, under
+// every scheduling option, with and without decode fusion. The digests were recorded before the scheduler's
 // bookkeeping was made map-free; any change to a scheduling decision
 // (dispatch order, mastership, instance order, tie-breaks) changes them.
 func TestPinnedOutputDigests(t *testing.T) {
@@ -48,6 +48,9 @@ func TestPinnedOutputDigests(t *testing.T) {
 		{"mixed", workload.PoissonTrace(workload.Mixed(), 0.15, 120, 11)},
 		{"longctx", workload.PoissonTrace(workload.LVEval(), 0.08, 40, 5)},
 		{"preempt", preemptionTrace()},
+		// Heavy short-chat load: dispatch rounds drop several requests back
+		// to the pending queue at once, so requeue order is observable.
+		{"chat", workload.PoissonTrace(workload.ShareGPT(), 20, 300, 5)},
 	}
 	arms := []struct {
 		name string
@@ -84,6 +87,13 @@ func TestPinnedOutputDigests(t *testing.T) {
 		"preempt/noborrow":  0x78e3a98ca3a29654,
 		"preempt/static":    0x56d592a9888d7b35,
 		"preempt/fused":     0x220f673e8ad67051,
+		"chat/default":      0x5dc71137c39af0df,
+		"chat/noscaleup":    0x2425f148d46e89f6,
+		"chat/nodp":         0x6c2304958d29ed05,
+		"chat/qi":           0x5dc71137c39af0df,
+		"chat/noborrow":     0x9ccad2812ce94f30,
+		"chat/static":       0x4f648dce960e8e8c,
+		"chat/fused":        0x5dc71137c39af0df,
 	}
 	for _, tc := range traces {
 		for _, arm := range arms {
