@@ -2,9 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"loongserve/internal/cluster"
 	"loongserve/internal/costmodel"
+	"loongserve/internal/model"
+	"loongserve/internal/serving"
+	"loongserve/internal/workload"
 )
 
 // randDPInput builds one Eq 5 problem of the given size over the shared
@@ -70,5 +75,42 @@ func TestBatchDPSteadyStateAllocs(t *testing.T) {
 		}
 	}); avg > float64(3+8*8) {
 		t.Fatalf("solveBatchDPQI steady state allocates %.1f objects per call", avg)
+	}
+}
+
+// TestServingAllocBudget bounds the whole engine's allocations per request
+// on a Mixed trace below saturation (the esp-longctx shape): the scheduler
+// runs on every arrival and decode iteration, and its steady state must
+// not allocate — what remains is per-request and per-prefill-launch work
+// (records, groups, retained batch and instance slices). A map or a
+// per-call buffer back on the decode path costs hundreds per request.
+func TestServingAllocBudget(t *testing.T) {
+	const n, budget = 400, 100
+	m := model.LWM1MText()
+	hw := cluster.A800()
+	cm := costmodel.New(m, hw)
+	for seed := int64(1); seed <= 3; seed++ {
+		trace := workload.PoissonTrace(workload.Mixed(), 0.15, n, seed)
+		c, err := cluster.New(m, hw, 1, 8, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := New(2, Options{})
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		recs, _, err := serving.RunWithStats(eng, c, cm, trace, serving.DefaultRunConfig())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != n {
+			t.Fatalf("seed %d: completed %d of %d", seed, len(recs), n)
+		}
+		if perReq := float64(after.Mallocs-before.Mallocs) / n; perReq > budget {
+			t.Errorf("seed %d: %.1f allocs/request, budget %d", seed, perReq, budget)
+		} else {
+			t.Logf("seed %d: %.1f allocs/request", seed, perReq)
+		}
 	}
 }

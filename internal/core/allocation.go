@@ -18,21 +18,24 @@ import (
 
 // allocateInstances grows E_p from the idle set by evacuating decode
 // instances while Eq 3's gain exceeds Eq 4's cost. It returns the final
-// instance set, the migration delay the prefill must absorb before starting
-// (KV must vacate first), and wantMore: set when a large further speedup
-// exists but the holding groups are mid-iteration — the caller should defer
-// the launch a few milliseconds to the next iteration boundary rather than
-// run a minute-scale prefill under-parallelized.
+// instance set (a scratch buffer valid until the next call), the migration
+// delay the prefill must absorb before starting (KV must vacate first),
+// and wantMore: set when a large further speedup exists but the holding
+// groups are mid-iteration — the caller should defer the launch a few
+// milliseconds to the next iteration boundary rather than run a
+// minute-scale prefill under-parallelized.
 func (e *Engine) allocateInstances(rp []*serving.Request, idle []kvcache.InstanceID) ([]kvcache.InstanceID, time.Duration, bool) {
-	insts := append([]kvcache.InstanceID(nil), idle...)
+	insts := append(e.instScratch[:0], idle...)
 	var delay time.Duration
 	m := len(e.env.Cluster.Instances)
-	lens := make([]int, len(rp))
+	lens := e.lensScratch[:0]
 	invLen := 0.0
-	for i, r := range rp {
-		lens[i] = e.prefillLen(r)
-		invLen += 1 / float64(lens[i])
+	for _, r := range rp {
+		l := e.prefillLen(r)
+		lens = append(lens, l)
+		invLen += 1 / float64(l)
 	}
+	e.lensScratch = lens
 	for len(insts) < m {
 		cur, ok1 := e.prefillCoeffsSP(len(insts))
 		nxt, ok2 := e.prefillCoeffsSP(len(insts) + 1)
@@ -48,6 +51,7 @@ func (e *Engine) allocateInstances(rp []*serving.Request, idle []kvcache.Instanc
 			// A big win may be one busy-group completion away (a decode
 			// iteration or another batch's prefill): wait for it.
 			if deltaT > 5 && e.busyGroupExists() {
+				e.instScratch = insts
 				return insts, delay, true
 			}
 			break
@@ -68,6 +72,7 @@ func (e *Engine) allocateInstances(rp []*serving.Request, idle []kvcache.Instanc
 		}
 		insts = append(insts, cand)
 	}
+	e.instScratch = insts
 	return insts, delay, false
 }
 
@@ -75,7 +80,7 @@ func (e *Engine) allocateInstances(rp []*serving.Request, idle []kvcache.Instanc
 // future completion event will re-run the scheduler and may free or unlock
 // instances.
 func (e *Engine) busyGroupExists() bool {
-	for _, g := range e.groups {
+	for _, g := range e.groupList {
 		if g.running {
 			return true
 		}
@@ -160,9 +165,9 @@ func (e *Engine) evacuationPlan(g *group, id kvcache.InstanceID, tokens int) (kv
 			if other == id {
 				continue
 			}
-			f := e.env.Pool.Pool(other).Free()
+			f := e.free(other)
 			free += f
-			if recv < 0 || f > e.env.Pool.Pool(recv).Free() {
+			if recv < 0 || f > e.free(recv) {
 				recv = other
 			}
 		}
@@ -182,9 +187,9 @@ func (e *Engine) evacuationPlan(g *group, id kvcache.InstanceID, tokens int) (kv
 			if other == id {
 				continue
 			}
-			f := e.env.Pool.Pool(other).Free()
+			f := e.free(other)
 			free += f
-			if recv < 0 || f > e.env.Pool.Pool(recv).Free() {
+			if recv < 0 || f > e.free(recv) {
 				recv = other
 			}
 		}
@@ -210,14 +215,14 @@ func (e *Engine) evacuate(id kvcache.InstanceID) (time.Duration, bool) {
 	}
 	// Move each request's slice of id into the target group's instances,
 	// most-free first — token granularity, no locality constraint.
-	for _, r := range g.reqs {
+	for i, r := range g.reqs {
 		n := e.env.Pool.HeldOn(r.ID, id)
 		for n > 0 {
 			dst := e.mostFreeExcept(target.instances, id)
 			if dst < 0 {
 				return 0, false // cannot happen given evacuationPlan's check
 			}
-			chunk := e.env.Pool.Pool(dst).Free()
+			chunk := e.free(dst)
 			if chunk > n {
 				chunk = n
 			}
@@ -231,8 +236,8 @@ func (e *Engine) evacuate(id kvcache.InstanceID) (time.Duration, bool) {
 		}
 		// Mastership must stay on an instance that remains in the request's
 		// group.
-		if g.master[r.ID] == id {
-			g.master[r.ID] = recv
+		if g.masters[i] == id {
+			g.masters[i] = recv
 		}
 	}
 	mig := e.env.Cluster.MigrationTime(tokens, id, recv)
@@ -241,17 +246,13 @@ func (e *Engine) evacuate(id kvcache.InstanceID) (time.Duration, bool) {
 		// Shrink: drop id from the group.
 		g.instances = subtract(g.instances, []kvcache.InstanceID{id})
 	} else {
-		// Merge the single-instance group into the target.
-		for _, r := range g.reqs {
-			target.reqs = append(target.reqs, r)
-			target.master[r.ID] = g.master[r.ID]
-			if target.master[r.ID] == id {
-				target.master[r.ID] = recv
-			}
-		}
+		// Merge the single-instance group into the target (no master is on
+		// id any more).
+		target.reqs = append(target.reqs, g.reqs...)
+		target.masters = append(target.masters, g.masters...)
 		e.removeGroup(g)
 	}
-	delete(e.byInst, id)
+	e.byInst[id] = nil
 	e.Migrations++
 	e.MigratedTokens += tokens
 	e.tracer.record(e.env.Sim.Now(), TraceEvacuate, target, tokens)
@@ -267,7 +268,7 @@ func (e *Engine) mostFreeExcept(ids []kvcache.InstanceID, except kvcache.Instanc
 		if id == except {
 			continue
 		}
-		if f := e.env.Pool.Pool(id).Free(); f > bestFree {
+		if f := e.free(id); f > bestFree {
 			best, bestFree = id, f
 		}
 	}

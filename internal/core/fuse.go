@@ -2,7 +2,6 @@ package core
 
 import (
 	"loongserve/internal/cluster"
-	"loongserve/internal/kvcache"
 )
 
 // Decode-iteration fusion: when the engine can prove that the next K decode
@@ -71,7 +70,7 @@ func (e *Engine) FusionStats() DecodeFusionStats { return e.fusion }
 // (0 when the group must run unfused). bs and masters are the launch-time
 // batch size and distinct master count the caller already computed.
 func (e *Engine) fuseEligible(g *group, bs, masters int) int {
-	if len(e.groupList) != 1 || e.groupList[0] != g || len(e.pending) != 0 {
+	if len(e.groupList) != 1 || e.groupList[0] != g || e.pending.len() != 0 {
 		return 0
 	}
 	threshold := e.sib.DecodeBSThreshold
@@ -106,55 +105,28 @@ func (e *Engine) shrinkNoop(g *group) bool {
 	if len(g.instances) <= 1 {
 		return true
 	}
-	e.fuseInUse = e.fuseInUse[:0]
-	if e.fuseVisit == nil {
-		e.fuseVisit = func(id kvcache.InstanceID, n int) {
-			if n > 0 {
-				e.fuseMarkInUse(id)
-			}
-		}
-	}
-	for _, r := range g.reqs {
-		e.fuseMarkInUse(g.master[r.ID])
-		e.env.Pool.EachPlacement(r.ID, e.fuseVisit)
-	}
+	mark := e.markInUse(g)
 	for _, id := range g.instances {
-		if !instIn(e.fuseInUse, id) {
+		if e.marks[id] != mark {
 			return false
 		}
 	}
 	return true
 }
 
-func (e *Engine) fuseMarkInUse(id kvcache.InstanceID) {
-	if !instIn(e.fuseInUse, id) {
-		e.fuseInUse = append(e.fuseInUse, id)
-	}
-}
-
 // capIterations returns K_cap: how many iterations every master can absorb
-// its per-iteration token share.
+// its per-iteration token share. Masters are visited in order of first
+// appearance in the batch; zeroing a master's count marks it visited.
 func (e *Engine) capIterations(g *group) int {
-	assign := e.fuseAssign[:0]
-	for _, r := range g.reqs {
-		m := g.master[r.ID]
-		found := false
-		for i := range assign {
-			if assign[i].id == m {
-				assign[i].n++
-				found = true
-				break
-			}
-		}
-		if !found {
-			assign = append(assign, instCount{id: m, n: 1})
-		}
-	}
-	e.fuseAssign = assign
+	e.countAssigned(g)
 	kcap := 0
-	for i := range assign {
-		k := e.env.Pool.Pool(assign[i].id).Free() / assign[i].n
-		if kcap == 0 || k < kcap {
+	for _, m := range g.masters {
+		n := e.assigned[m]
+		if n == 0 {
+			continue
+		}
+		e.assigned[m] = 0
+		if k := e.free(m) / n; kcap == 0 || k < kcap {
 			kcap = k
 		}
 	}
@@ -174,7 +146,7 @@ func (e *Engine) launchFused(g *group, k, bs, sumKV, masters int, link cluster.L
 	g.fused = true
 	g.fusedDone = 0
 	g.running = true
-	g.iter = append(g.iter[:0], g.reqs...)
+	g.inflight = bs
 	if g.decodeEv == nil {
 		g.decodeEv = e.env.Sim.NewEvent(func() { e.decodeIterDone(g) })
 	}
@@ -194,9 +166,9 @@ func (e *Engine) applyFused(g *group, upto int) {
 	if delta <= 0 {
 		return
 	}
-	for _, r := range g.iter {
+	for i, r := range g.reqs[:g.inflight] {
 		r.Generated += delta
-		if err := e.env.Pool.AllocAt(r.ID, g.master[r.ID], delta); err != nil {
+		if err := e.env.Pool.AllocAt(r.ID, g.masters[i], delta); err != nil {
 			panic(err)
 		}
 	}

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -70,15 +71,19 @@ type Engine struct {
 	env *serving.Env
 	sib *costmodel.SIB
 
-	pending   []*serving.Request
+	pending   reqQueue
 	recompute map[kvcache.RequestID]int
-	groups    map[int]*group
-	byInst    map[kvcache.InstanceID]*group
 	nextGID   int
 
-	// groupList mirrors groups in ascending-id order, maintained
+	// groupList holds the live groups in ascending-id order, maintained
 	// incrementally on create/retire so the scheduler never re-sorts.
 	groupList []*group
+
+	// Instance-indexed state. Cluster instance ids are dense (0..n-1), so
+	// per-instance lookups are slice indexing: byInst is each instance's
+	// group (nil when idle) and pools caches each instance's KV pool.
+	byInst []*group
+	pools  []*kvcache.Pool
 
 	// Per-SP fitted model tables, built once at Init from the SIB: the
 	// scheduler consults coefficients on every dispatch decision and in the
@@ -89,13 +94,26 @@ type Engine struct {
 	spDecode    []costmodel.DecodeCoeffs
 	spDecodeOK  []bool
 
-	// Hot-path scratch, reused across scheduling rounds.
+	// Hot-path scratch, reused across scheduling rounds so a steady-state
+	// pass allocates nothing. Buffers that a group keeps are copied out.
 	schedScratch []*group             // snapshot for mutation-safe iteration
+	mergeScratch []*group             // considerMerges' idle decoding groups
 	idleScratch  []kvcache.InstanceID // idleInstances result buffer
-	mcScratch    []kvcache.InstanceID // masterCount distinct-set buffer
+	instScratch  []kvcache.InstanceID // candidate instance sets (E_p)
+	orderScratch []kvcache.InstanceID // rebalanceMasters' instance order
+	rpScratch    []*serving.Request   // dispatch's candidate set R_p
+	dropScratch  []*serving.Request   // requests a batcher could not place
 	lensScratch  []int                // non-retained length vectors
 	dp           dpScratch            // Eq 5 DP inputs and matrices
 	scheduleFn   func()               // bound e.schedule, for After(0, ...)
+
+	// Instance-indexed scratch: assigned counts requests per master
+	// (countAssigned); marks stamps instances with the current markEpoch
+	// (masterCount, markInUse), so a pass resets nothing.
+	assigned  []int
+	marks     []uint32
+	markEpoch uint32
+	markVisit func(kvcache.InstanceID, int) // bound EachPlacement visitor
 
 	tracer *Tracer // optional execution trace (Fig 6 lifecycle)
 
@@ -104,9 +122,6 @@ type Engine struct {
 	fuseDecode bool
 	fusedGroup *group
 	fusion     DecodeFusionStats
-	fuseInUse  []kvcache.InstanceID       // shrinkNoop scratch
-	fuseAssign []instCount                // capIterations scratch
-	fuseVisit  func(kvcache.InstanceID, int) // bound EachPlacement visitor
 
 	// Running averages for the Eq 2 gain estimate.
 	decodeLatSum   float64 // seconds spent in decode by finished requests
@@ -140,19 +155,23 @@ type group struct {
 
 	// Prefill state.
 	batch  []*serving.Request
-	lens   []int
 	retain []kvcache.InstanceID // proactive scale-down targets
 
-	// Decode state.
-	reqs   []*serving.Request
-	master map[kvcache.RequestID]kvcache.InstanceID
+	// Decode state: masters[i] is the master instance of reqs[i]. Every
+	// edit of reqs (retire, preempt, merge, join, evacuate) edits masters
+	// in step.
+	reqs    []*serving.Request
+	masters []kvcache.InstanceID
 
-	// Decode-iteration plumbing: iter snapshots the batch for the in-flight
-	// iteration (g.reqs may grow mid-flight when a finished prefill joins
-	// the group — joined requests must not receive this iteration's token),
-	// and decodeEv is the group's reusable completion event, so steady-state
+	// Decode-iteration plumbing: inflight is the batch size of the
+	// in-flight decode iteration (0 when none is; a donor paused for a
+	// piggybacked prefill runs no iteration). While an iteration is in
+	// flight, reqs only grows at the end (a finished prefill joining the
+	// group), so reqs[:inflight] is the iteration's batch — joined requests
+	// must not receive its token.
+	// decodeEv is the group's reusable completion event, so steady-state
 	// decoding schedules without allocating.
-	iter     []*serving.Request
+	inflight int
 	decodeEv *simevent.Event
 
 	// Borrowed instances (Eq 1-2): returned to their decoding group after
@@ -167,10 +186,61 @@ type group struct {
 	fusedEnds []simevent.Time
 }
 
-// instCount is a (instance, count) pair used by the fusion capacity check.
-type instCount struct {
-	id kvcache.InstanceID
-	n  int
+// reqQueue is the pending queue: a ring buffer, so popping the head
+// (dispatch), pushing at the front (requeue, preemption) and appending
+// (arrivals) never copy the backlog.
+type reqQueue struct {
+	buf  []*serving.Request
+	head int // index of the front element in buf
+	n    int // queued requests
+}
+
+func (q *reqQueue) len() int { return q.n }
+
+// front returns the head request; the queue must be non-empty.
+func (q *reqQueue) front() *serving.Request { return q.buf[q.head] }
+
+func (q *reqQueue) pushBack(r *serving.Request) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = r
+	q.n++
+}
+
+func (q *reqQueue) pushFront(r *serving.Request) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.head--
+	if q.head < 0 {
+		q.head += len(q.buf)
+	}
+	q.buf[q.head] = r
+	q.n++
+}
+
+func (q *reqQueue) popFront() *serving.Request {
+	r := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return r
+}
+
+// grow doubles the ring, unwrapping it to start at index 0.
+func (q *reqQueue) grow() {
+	buf := make([]*serving.Request, max(16, 2*len(q.buf)))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:q.n], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 // New returns a LoongServe engine for instances of the given tensor
@@ -198,15 +268,26 @@ func (e *Engine) Name() string { return e.Label }
 func (e *Engine) Init(env *serving.Env) error {
 	e.env = env
 	e.recompute = make(map[kvcache.RequestID]int)
-	e.groups = make(map[int]*group)
-	e.byInst = make(map[kvcache.InstanceID]*group)
 	n := len(env.Cluster.Instances)
 	if n == 0 {
 		return fmt.Errorf("%s: empty cluster", e.Label)
 	}
-	for _, inst := range env.Cluster.Instances {
+	e.byInst = make([]*group, n)
+	e.pools = make([]*kvcache.Pool, n)
+	e.assigned = make([]int, n)
+	e.marks = make([]uint32, n)
+	for i, inst := range env.Cluster.Instances {
 		if inst.TP != e.TP {
 			return fmt.Errorf("%s: instance %d has TP=%d, engine wants %d", e.Label, inst.ID, inst.TP, e.TP)
+		}
+		if int(inst.ID) != i {
+			return fmt.Errorf("%s: instance ids must be 0..%d in order, got %d at %d", e.Label, n-1, inst.ID, i)
+		}
+		e.pools[i] = env.Pool.Pool(inst.ID)
+	}
+	e.markVisit = func(id kvcache.InstanceID, tokens int) {
+		if tokens > 0 {
+			e.marks[id] = e.markEpoch
 		}
 	}
 	e.sib = costmodel.NewSIB()
@@ -261,11 +342,11 @@ func (e *Engine) SIB() *costmodel.SIB { return e.sib }
 // pending requests, no live groups, every KV slot returned, and the pool's
 // internal accounting consistent. Tests call it after a full trace run.
 func (e *Engine) CheckDrained() error {
-	if len(e.pending) != 0 {
-		return fmt.Errorf("%s: %d requests still pending", e.Label, len(e.pending))
+	if e.pending.len() != 0 {
+		return fmt.Errorf("%s: %d requests still pending", e.Label, e.pending.len())
 	}
-	if len(e.groups) != 0 {
-		return fmt.Errorf("%s: %d groups still live", e.Label, len(e.groups))
+	if len(e.groupList) != 0 {
+		return fmt.Errorf("%s: %d groups still live", e.Label, len(e.groupList))
 	}
 	if used := e.env.Pool.TotalUsed(); used != 0 {
 		return fmt.Errorf("%s: %d KV slots leaked", e.Label, used)
@@ -291,8 +372,8 @@ func (e *Engine) Capability() serving.Capability {
 // see the exact unfused state.
 func (e *Engine) Load() serving.LoadStats {
 	e.syncFused()
-	st := serving.LoadStats{Queued: len(e.pending)}
-	for _, g := range e.groups {
+	st := serving.LoadStats{Queued: e.pending.len()}
+	for _, g := range e.groupList {
 		for _, r := range g.batch {
 			st.Running++
 			st.KVTokens += r.KVNow()
@@ -311,7 +392,7 @@ func (e *Engine) Arrive(r *serving.Request) {
 		panic(&serving.ErrOOM{System: e.Label, Req: r.ID, Tokens: r.Tokens() + 1, Limit: e.env.Pool.TotalCapacity()})
 	}
 	e.fissionFused() // an arrival breaks the fused window's stability proof
-	e.pending = append(e.pending, r)
+	e.pending.pushBack(r)
 	e.schedule()
 }
 
@@ -320,20 +401,36 @@ func (e *Engine) Arrive(r *serving.Request) {
 // set (group membership) copy what they keep.
 func (e *Engine) idleInstances() []kvcache.InstanceID {
 	ids := e.idleScratch[:0]
-	for _, inst := range e.env.Cluster.Instances {
-		if e.byInst[inst.ID] == nil {
-			ids = append(ids, inst.ID)
+	for i, g := range e.byInst {
+		if g == nil {
+			ids = append(ids, kvcache.InstanceID(i))
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		fa, fb := e.env.Pool.Pool(ids[a]).Free(), e.env.Pool.Pool(ids[b]).Free()
-		if fa != fb {
-			return fa > fb
-		}
-		return ids[a] < ids[b]
-	})
+	e.sortByFree(ids, true)
 	e.idleScratch = ids
 	return ids
+}
+
+// free returns instance id's free KV slots.
+func (e *Engine) free(id kvcache.InstanceID) int { return e.pools[id].Free() }
+
+// sortByFree orders ids by free KV slots, most free first when mostFree
+// and least free first otherwise, breaking ties by ascending id. The order
+// is total, so this insertion sort (instance sets are a handful of
+// entries) yields exactly what any other sort would.
+func (e *Engine) sortByFree(ids []kvcache.InstanceID, mostFree bool) {
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && e.freeBefore(ids[j], ids[j-1], mostFree); j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
+		}
+	}
+}
+
+func (e *Engine) freeBefore(a, b kvcache.InstanceID, mostFree bool) bool {
+	if fa, fb := e.free(a), e.free(b); fa != fb {
+		return (fa > fb) == mostFree
+	}
+	return a < b
 }
 
 // prefillLen returns the tokens request r must prefill (full context after
@@ -401,13 +498,11 @@ func (e *Engine) sortedGroups() []*group {
 
 // addGroup registers a newly created group.
 func (e *Engine) addGroup(g *group) {
-	e.groups[g.id] = g
 	e.groupList = append(e.groupList, g)
 }
 
-// removeGroup retires a group from the index and the ordered list.
+// removeGroup retires a group from the ordered list.
 func (e *Engine) removeGroup(g *group) {
-	delete(e.groups, g.id)
 	list := e.groupList
 	i := sort.Search(len(list), func(k int) bool { return list[k].id >= g.id })
 	if i < len(list) && list[i] == g {
@@ -419,21 +514,20 @@ func (e *Engine) removeGroup(g *group) {
 
 // launchPrefill starts one prefill iteration for a planned batch. delay is
 // the Eq 3-4 migration time that must elapse before compute starts.
+//
+// The group keeps reqs and insts, so callers pass slices they own; lens is
+// only read.
 func (e *Engine) launchPrefill(reqs []*serving.Request, lens []int, insts []kvcache.InstanceID, borrowed *group, delay time.Duration) {
 	g := &group{
-		id:        e.nextGID,
-		phase:     phasePrefill,
-		instances: insts,
-		running:   true,
-		batch:     reqs,
-		lens:      lens,
-		master:    make(map[kvcache.RequestID]kvcache.InstanceID),
-		borrowedFrom: func() *group {
-			if borrowed != nil {
-				e.Borrows++
-			}
-			return borrowed
-		}(),
+		id:           e.nextGID,
+		phase:        phasePrefill,
+		instances:    insts,
+		running:      true,
+		batch:        reqs,
+		borrowedFrom: borrowed,
+	}
+	if borrowed != nil {
+		e.Borrows++
 	}
 	e.nextGID++
 	e.addGroup(g)
@@ -484,17 +578,11 @@ func (e *Engine) chooseRetention(reqs []*serving.Request, insts []kvcache.Instan
 	for _, r := range reqs {
 		need += e.reserveLen(r)
 	}
-	order := append([]kvcache.InstanceID(nil), insts...)
-	sort.Slice(order, func(a, b int) bool {
-		fa, fb := e.env.Pool.Pool(order[a]).Free(), e.env.Pool.Pool(order[b]).Free()
-		if fa != fb {
-			return fa > fb
-		}
-		return order[a] < order[b]
-	})
+	order := slices.Clone(insts) // kept by the group as its retention set
+	e.sortByFree(order, true)
 	have := 0
 	for i, id := range order {
-		have += e.env.Pool.Pool(id).Free()
+		have += e.free(id)
 		if have >= need {
 			return order[:i+1]
 		}
@@ -531,14 +619,14 @@ func (e *Engine) finishPrefill(g *group) {
 	// Scale down: release non-retained instances.
 	for _, id := range g.instances {
 		if !instIn(g.retain, id) {
-			delete(e.byInst, id)
+			e.byInst[id] = nil
 		}
 	}
 	g.instances = g.retain
 	g.phase = phaseDecode
 	g.running = false
 	g.reqs = g.batch
-	g.batch, g.lens, g.retain = nil, nil, nil
+	g.batch, g.retain = nil, nil
 
 	// Consolidate: if an existing decoding group can absorb this batch
 	// without the union growing past half the cluster, join it. Fewer,
@@ -579,7 +667,7 @@ func (e *Engine) consolidationTarget(g *group) *group {
 		if cand == g || cand.phase != phaseDecode || len(cand.reqs) == 0 {
 			continue
 		}
-		extra := len(subtract(g.instances, cand.instances))
+		extra := countMissing(g.instances, cand.instances)
 		if e.Opts.DisableScaleUp && extra > 0 {
 			continue
 		}
@@ -601,7 +689,7 @@ func (e *Engine) consolidationTarget(g *group) *group {
 func (e *Engine) joinGroup(g *group, target *group) {
 	for _, id := range g.instances {
 		if e.byInst[id] == g {
-			delete(e.byInst, id) // idle-origin instance, not retained
+			e.byInst[id] = nil // idle-origin instance, not retained
 		}
 	}
 	for _, id := range g.retain {
@@ -617,7 +705,7 @@ func (e *Engine) joinGroup(g *group, target *group) {
 			continue
 		}
 		target.reqs = append(target.reqs, r)
-		target.master[r.ID] = g.retain[i%len(g.retain)]
+		target.masters = append(target.masters, g.retain[i%len(g.retain)])
 	}
 	e.removeGroup(g)
 	e.tracer.record(e.env.Sim.Now(), TraceJoin, target, 0)
@@ -634,22 +722,20 @@ func (e *Engine) finishRequest(r *serving.Request) {
 }
 
 // retireFinished completes requests that have generated their full output,
-// filtering g.reqs in place (the in-flight snapshot g.iter has its own
-// backing, so compaction here cannot corrupt an iteration).
+// filtering g.reqs and g.masters in place. It runs only on a group with no
+// iteration in flight.
 func (e *Engine) retireFinished(g *group) {
-	live := g.reqs[:0]
-	for _, r := range g.reqs {
+	live := 0
+	for i, r := range g.reqs {
 		if r.Generated >= r.OutputLen {
-			delete(g.master, r.ID)
 			e.finishRequest(r)
 			continue
 		}
-		live = append(live, r)
+		g.reqs[live], g.masters[live] = r, g.masters[i]
+		live++
 	}
-	for i := len(live); i < len(g.reqs); i++ {
-		g.reqs[i] = nil
-	}
-	g.reqs = live
+	clear(g.reqs[live:])
+	g.reqs, g.masters = g.reqs[:live], g.masters[:live]
 }
 
 // dissolve removes an empty group and frees its instances.
@@ -657,7 +743,7 @@ func (e *Engine) dissolve(g *group) {
 	e.tracer.record(e.env.Sim.Now(), TraceDissolve, g, 0)
 	for _, id := range g.instances {
 		if e.byInst[id] == g {
-			delete(e.byInst, id)
+			e.byInst[id] = nil
 		}
 	}
 	e.removeGroup(g)
@@ -670,6 +756,17 @@ func instIn(ids []kvcache.InstanceID, id kvcache.InstanceID) bool {
 		}
 	}
 	return false
+}
+
+// countMissing returns how many of ids are not in set.
+func countMissing(ids, set []kvcache.InstanceID) int {
+	n := 0
+	for _, x := range ids {
+		if !instIn(set, x) {
+			n++
+		}
+	}
+	return n
 }
 
 func subtract(ids, remove []kvcache.InstanceID) []kvcache.InstanceID {

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"loongserve/internal/costmodel"
@@ -26,16 +27,16 @@ const maxDispatch = 64
 // additional subset of new requests R'_p,i"). Returns whether any batch
 // launched.
 func (e *Engine) scheduleOnePrefillRound() bool {
-	if len(e.pending) == 0 {
+	if e.pending.len() == 0 {
 		return false
 	}
 	launched := false
 	idle := e.idleInstances()
 	var memDelay time.Duration
-	if len(idle) > 0 && len(e.pending) > 0 {
+	if len(idle) > 0 {
 		// §5.2 memory reclamation: when even the head request cannot fit
 		// the idle pool, preempt decode instances' memory via migration.
-		head := e.pending[0]
+		head := e.pending.front()
 		if need := e.prefillLen(head) + (head.OutputLen - head.Generated) + 1; need > e.freeOn(idle) {
 			if d, freed := e.reclaimForMemory(need); freed {
 				memDelay = d
@@ -69,7 +70,7 @@ func (e *Engine) scheduleOnePrefillRound() bool {
 	}
 	// The Eq 1-2 path runs in addition: R'_p beyond the idle capacity can
 	// prefill on a decoding group's instances and join its batch.
-	if len(e.pending) > 0 && !e.Opts.DisableBorrowing {
+	if e.pending.len() > 0 && !e.Opts.DisableBorrowing {
 		if e.piggybackRound(e.idleInstances()) {
 			launched = true
 		}
@@ -85,29 +86,29 @@ func (e *Engine) piggybackRound(idle []kvcache.InstanceID) bool {
 	if donor == nil {
 		return false
 	}
-	memInsts := donor.instances
-	insts := donor.instances
-	if !e.Opts.DisableScaleUp && len(idle) > 0 {
+	insts := append(e.instScratch[:0], donor.instances...)
+	if !e.Opts.DisableScaleUp {
 		// Idle instances may carry KV too; they join the decode group at
 		// completion (a scale-up). With scale-up disabled the group cannot
 		// grow, so only the donor's own memory counts.
-		memInsts = append(append([]kvcache.InstanceID(nil), donor.instances...), idle...)
-		insts = memInsts
+		insts = append(insts, idle...)
 	}
-	rp := e.dispatch(e.freeOn(memInsts), len(insts))
+	e.instScratch = insts
+	rp := e.dispatch(e.freeOn(insts), len(insts))
 	if len(rp) == 0 {
 		return false
 	}
-	lens := make([]int, len(rp))
-	for i, r := range rp {
-		lens[i] = e.prefillLen(r)
+	lens := e.lensScratch[:0]
+	for _, r := range rp {
+		lens = append(lens, e.prefillLen(r))
 	}
+	e.lensScratch = lens
 	if !e.borrowWorthIt(rp, lens, donor, len(insts)) && !e.agedOutCheap(rp, lens, len(insts)) {
 		e.requeue(rp)
 		return false
 	}
 	donor.running = true // paused while its instances run the prefill
-	e.launchPrefill(rp, lens, insts, donor, 0)
+	e.launchPrefill(slices.Clone(rp), lens, slices.Clone(insts), donor, 0)
 	return true
 }
 
@@ -131,19 +132,20 @@ func (e *Engine) agedOutCheap(rp []*serving.Request, lens []int, sp int) bool {
 func (e *Engine) freeOn(ids []kvcache.InstanceID) int {
 	total := 0
 	for _, id := range ids {
-		total += e.env.Pool.Pool(id).Free()
+		total += e.free(id)
 	}
 	return total
 }
 
 // requeue returns dispatched-but-unplaced requests to the head of the
-// pending queue in arrival order.
+// pending queue in arrival order. slices.SortFunc runs the same pdqsort
+// as sort.Slice, so requests with equal arrival times keep the order they
+// have always had.
 func (e *Engine) requeue(reqs []*serving.Request) {
-	if len(reqs) == 0 {
-		return
+	slices.SortFunc(reqs, func(a, b *serving.Request) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	for i := len(reqs) - 1; i >= 0; i-- {
+		e.pending.pushFront(reqs[i])
 	}
-	sort.Slice(reqs, func(a, b int) bool { return reqs[a].Arrival < reqs[b].Arrival })
-	e.pending = append(reqs, e.pending...)
 }
 
 // dispatch is step 1 (§5.1): scan the pending queue FCFS, admitting
@@ -153,24 +155,25 @@ func (e *Engine) requeue(reqs []*serving.Request) {
 // point. Under backlog (the queue head has aged out) the tipping point
 // relaxes: with work piling up, larger batches amortize the per-iteration
 // overhead, and each piggyback pause on a decoding group then carries more
-// prefilled tokens.
+// prefilled tokens. The result is a scratch buffer valid until the next
+// call; a group that keeps the requests copies them.
 func (e *Engine) dispatch(avail, sp int) []*serving.Request {
 	if sp < 1 {
 		sp = 1
 	}
 	coeffs, haveCoeffs := e.prefillCoeffsSP(sp)
 	tipping := e.sib.PrefillTippingPoint
-	if len(e.pending) > 0 && e.agedOut(e.pending[:1]) {
+	if e.pending.len() > 0 && e.agedOutReq(e.pending.front()) {
 		tipping *= 4
 	}
 
 	// The tipping check keeps running Σlen/Σlen² instead of rebuilding the
 	// candidate length vector per admission (the sums accumulate in the
 	// same order the vector would, so predictions are bit-identical).
-	var rp []*serving.Request
+	rp := e.rpScratch[:0]
 	var sumLen, sumSq float64
-	for len(e.pending) > 0 && len(rp) < maxDispatch {
-		r := e.pending[0]
+	for e.pending.len() > 0 && len(rp) < maxDispatch {
+		r := e.pending.front()
 		// Maximum future consumption: full context plus the entire output.
 		futureNeed := e.prefillLen(r) + (r.OutputLen - r.Generated) + 1
 		if futureNeed > avail {
@@ -183,11 +186,11 @@ func (e *Engine) dispatch(avail, sp int) []*serving.Request {
 			}
 		}
 		avail -= futureNeed
-		rp = append(rp, r)
+		rp = append(rp, e.pending.popFront())
 		sumLen += l
 		sumSq += l * l
-		e.pending = e.pending[1:]
 	}
+	e.rpScratch = rp
 	return rp
 }
 
@@ -226,14 +229,17 @@ func (e *Engine) pickDonor() *group {
 // mature (zero Eq 2 gain). Once the head request has waited several decode
 // lifetimes' worth of slack, the prefill proceeds regardless.
 func (e *Engine) agedOut(rp []*serving.Request) bool {
-	const maxWait = 300 * simevent.Millisecond
-	now := e.env.Sim.Now()
 	for _, r := range rp {
-		if now-r.Arrival > simevent.Time(maxWait) {
+		if e.agedOutReq(r) {
 			return true
 		}
 	}
 	return false
+}
+
+func (e *Engine) agedOutReq(r *serving.Request) bool {
+	const maxWait = 300 * simevent.Millisecond
+	return e.env.Sim.Now()-r.Arrival > simevent.Time(maxWait)
 }
 
 // borrowWorthIt evaluates Eqs 1-2: the gain of running R'_p now (the
@@ -280,7 +286,8 @@ func (e *Engine) borrowWorthIt(rp []*serving.Request, lens []int, donor *group, 
 }
 
 // batchPlan is one planned prefill batch: requests and the instances that
-// will form its parallel group.
+// will form its parallel group (both owned by the plan, since the group
+// keeps them) and the prefill lengths (scratch, valid until the next plan).
 type batchPlan struct {
 	reqs  []*serving.Request
 	lens  []int
@@ -297,7 +304,7 @@ func (e *Engine) planBatches(rp []*serving.Request, insts []kvcache.InstanceID) 
 	if e.Opts.DisableDPBatching {
 		return e.planGreedy(rp, insts)
 	}
-	var dropped []*serving.Request
+	dropped := e.dropScratch[:0]
 	for len(rp) > 0 {
 		plans, ok := e.dpBatches(rp, insts)
 		if ok {
@@ -311,56 +318,67 @@ func (e *Engine) planBatches(rp []*serving.Request, insts []kvcache.InstanceID) 
 			}
 		}
 		dropped = append(dropped, rp[worst])
+		e.dropScratch = dropped
 		rp = append(rp[:worst], rp[worst+1:]...)
 	}
 	return nil, dropped
 }
 
 // dpScratch holds the reusable Eq 5 problem buffers: the sorted views, the
-// DP input (with its solver matrices) and nothing that outlives a call —
-// returned plans copy the segments they keep, because groups retain their
-// request and instance slices across iterations.
+// DP input (with its solver matrices) and the plan list. Returned plans
+// copy the request and instance segments they keep, because groups retain
+// those slices across iterations.
 type dpScratch struct {
+	byLen  []reqLen
 	sorted []*serving.Request
 	order  []kvcache.InstanceID
+	plans  []batchPlan
 	in     batchDPInput
+}
+
+// reqLen pairs a request with its prefill length for sorting.
+type reqLen struct {
+	r *serving.Request
+	l int
+}
+
+// longerFirst orders requests by prefill length descending, then id.
+func longerFirst(a, b reqLen) int {
+	if a.l != b.l {
+		return cmp.Compare(b.l, a.l)
+	}
+	return cmp.Compare(a.r.ID, b.r.ID)
 }
 
 // dpBatches runs the DP over one candidate set; ok=false when no feasible
 // partition exists.
 func (e *Engine) dpBatches(rp []*serving.Request, insts []kvcache.InstanceID) ([]batchPlan, bool) {
-	// Sort requests by prefill length descending.
-	sorted := append(e.dp.sorted[:0], rp...)
-	e.dp.sorted = sorted
-	sort.Slice(sorted, func(a, b int) bool {
-		la, lb := e.prefillLen(sorted[a]), e.prefillLen(sorted[b])
-		if la != lb {
-			return la > lb
-		}
-		return sorted[a].ID < sorted[b].ID
-	})
+	// Sort requests by prefill length descending (a total order).
+	byLen := e.dp.byLen[:0]
+	for _, r := range rp {
+		byLen = append(byLen, reqLen{r, e.prefillLen(r)})
+	}
+	e.dp.byLen = byLen
+	slices.SortFunc(byLen, longerFirst)
 	// Sort instances by free slots ascending (paper §5.3).
 	order := append(e.dp.order[:0], insts...)
 	e.dp.order = order
-	sort.Slice(order, func(a, b int) bool {
-		fa, fb := e.env.Pool.Pool(order[a]).Free(), e.env.Pool.Pool(order[b]).Free()
-		if fa != fb {
-			return fa < fb
-		}
-		return order[a] < order[b]
-	})
+	e.sortByFree(order, false)
 
 	m := len(order)
 	in := &e.dp.in
+	sorted := e.dp.sorted[:0]
 	in.lens = in.lens[:0]
 	in.reserve = in.reserve[:0]
 	in.free = in.free[:0]
-	for _, r := range sorted {
-		in.lens = append(in.lens, e.prefillLen(r))
-		in.reserve = append(in.reserve, e.reserveLen(r))
+	for _, rl := range byLen {
+		sorted = append(sorted, rl.r)
+		in.lens = append(in.lens, rl.l)
+		in.reserve = append(in.reserve, e.reserveLen(rl.r))
 	}
+	e.dp.sorted = sorted
 	for _, id := range order {
-		in.free = append(in.free, e.env.Pool.Pool(id).Free())
+		in.free = append(in.free, e.free(id))
 	}
 	// The per-SP coefficient table is the engine's, built once at Init; the
 	// solver only indexes sp in [1, m].
@@ -378,36 +396,37 @@ func (e *Engine) dpBatches(rp []*serving.Request, insts []kvcache.InstanceID) ([
 	if !ok {
 		return nil, false
 	}
-	plans := make([]batchPlan, 0, len(segs))
+	plans := e.dp.plans[:0]
 	for _, s := range segs {
 		plans = append(plans, batchPlan{
-			reqs:  append([]*serving.Request(nil), sorted[s.ReqLo:s.ReqHi]...),
-			lens:  append([]int(nil), in.lens[s.ReqLo:s.ReqHi]...),
-			insts: append([]kvcache.InstanceID(nil), order[s.InstLo:s.InstHi]...),
+			reqs:  slices.Clone(sorted[s.ReqLo:s.ReqHi]),
+			lens:  in.lens[s.ReqLo:s.ReqHi],
+			insts: slices.Clone(order[s.InstLo:s.InstHi]),
 		})
 	}
+	e.dp.plans = plans
 	return plans, true
 }
 
 // planGreedy is the ablation batcher: one batch over every instance, whole
 // R_p, dropping the newest requests until it fits.
 func (e *Engine) planGreedy(rp []*serving.Request, insts []kvcache.InstanceID) ([]batchPlan, []*serving.Request) {
-	var dropped []*serving.Request
-	free := 0
-	for _, id := range insts {
-		free += e.env.Pool.Pool(id).Free()
-	}
+	dropped := e.dropScratch[:0]
+	free := e.freeOn(insts)
 	for len(rp) > 0 {
 		need := 0
 		for _, r := range rp {
 			need += e.reserveLen(r)
 		}
 		if need <= free {
-			lens := make([]int, len(rp))
-			for i, r := range rp {
-				lens[i] = e.prefillLen(r)
+			lens := e.lensScratch[:0]
+			for _, r := range rp {
+				lens = append(lens, e.prefillLen(r))
 			}
-			return []batchPlan{{reqs: rp, lens: lens, insts: insts}}, dropped
+			e.lensScratch = lens
+			plans := append(e.dp.plans[:0], batchPlan{reqs: slices.Clone(rp), lens: lens, insts: slices.Clone(insts)})
+			e.dp.plans = plans
+			return plans, dropped
 		}
 		worst := 0
 		for i := range rp {
@@ -416,6 +435,7 @@ func (e *Engine) planGreedy(rp []*serving.Request, insts []kvcache.InstanceID) (
 			}
 		}
 		dropped = append(dropped, rp[worst])
+		e.dropScratch = dropped
 		rp = append(rp[:worst], rp[worst+1:]...)
 	}
 	return nil, dropped
@@ -435,12 +455,13 @@ func (e *Engine) considerMerges() {
 		maxUnion = 1
 	}
 	for guard := 0; guard < 16; guard++ {
-		var idleGroups []*group
+		idleGroups := e.mergeScratch[:0]
 		for _, g := range e.sortedGroups() {
 			if g.phase == phaseDecode && !g.running && len(g.reqs) > 0 {
 				idleGroups = append(idleGroups, g)
 			}
 		}
+		e.mergeScratch = idleGroups
 		if len(idleGroups) < 2 {
 			return
 		}
@@ -449,7 +470,7 @@ func (e *Engine) considerMerges() {
 		for i := 0; i < len(idleGroups); i++ {
 			for j := i + 1; j < len(idleGroups); j++ {
 				a, b := idleGroups[i], idleGroups[j]
-				union := len(a.instances) + len(unionExtra(a, b))
+				union := len(a.instances) + countMissing(b.instances, a.instances)
 				if union > maxUnion {
 					continue
 				}
@@ -463,10 +484,6 @@ func (e *Engine) considerMerges() {
 		}
 		e.merge(bestA, bestB)
 	}
-}
-
-func unionExtra(a, b *group) []kvcache.InstanceID {
-	return subtract(b.instances, a.instances)
 }
 
 // mergeGain predicts the token-throughput change of merging two decoding
@@ -500,16 +517,14 @@ func (e *Engine) decodePredict(bs, sumKV, sp int) (float64, bool) {
 
 // merge absorbs group b into group a.
 func (e *Engine) merge(a, b *group) {
-	for _, id := range unionExtra(a, b) {
-		a.instances = append(a.instances, id)
-	}
 	for _, id := range b.instances {
+		if !instIn(a.instances, id) {
+			a.instances = append(a.instances, id)
+		}
 		e.byInst[id] = a
 	}
 	a.reqs = append(a.reqs, b.reqs...)
-	for id, m := range b.master {
-		a.master[id] = m
-	}
+	a.masters = append(a.masters, b.masters...)
 	e.removeGroup(b)
 }
 
@@ -541,8 +556,8 @@ func (e *Engine) launchDecode(g *group) {
 	if bs > e.MaxDecodeBS {
 		e.MaxDecodeBS = bs
 	}
-	if len(e.groups) > e.MaxGroups {
-		e.MaxGroups = len(e.groups)
+	if len(e.groupList) > e.MaxGroups {
+		e.MaxGroups = len(e.groupList)
 	}
 	sumKV := 0
 	for _, r := range g.reqs {
@@ -558,9 +573,9 @@ func (e *Engine) launchDecode(g *group) {
 	}
 	d := e.env.CM.DecodeIterTime(bs, sumKV, len(g.instances), e.TP, masters, link)
 	g.running = true
-	// Snapshot the batch (a join can grow g.reqs mid-flight; joined requests
-	// sit out this iteration) and arm the group's reusable event.
-	g.iter = append(g.iter[:0], g.reqs...)
+	// Record the batch size (a join can grow g.reqs mid-flight; joined
+	// requests sit out this iteration) and arm the group's reusable event.
+	g.inflight = bs
 	if g.decodeEv == nil {
 		g.decodeEv = e.env.Sim.NewEvent(func() { e.decodeIterDone(g) })
 	}
@@ -579,14 +594,14 @@ func (e *Engine) decodeIterDone(g *group) {
 		g.fused = false
 		e.fusedGroup = nil
 	} else {
-		for _, r := range g.iter {
+		for i, r := range g.reqs[:g.inflight] {
 			r.Generated++
-			if err := e.env.Pool.AllocAt(r.ID, g.master[r.ID], 1); err != nil {
-				panic(fmt.Sprintf("%s: decode alloc on instance %d failed: %v", e.Label, g.master[r.ID], err))
+			if err := e.env.Pool.AllocAt(r.ID, g.masters[i], 1); err != nil {
+				panic(fmt.Sprintf("%s: decode alloc on instance %d failed: %v", e.Label, g.masters[i], err))
 			}
 		}
 	}
-	g.running = false
+	g.running, g.inflight = false, 0
 	e.retireFinished(g)
 	e.shrinkDecode(g)
 	if len(g.reqs) == 0 {
@@ -597,21 +612,40 @@ func (e *Engine) decodeIterDone(g *group) {
 
 // masterCount returns the number of distinct master instances.
 func (e *Engine) masterCount(g *group) int {
-	seen := e.mcScratch[:0]
-	for _, id := range g.master {
-		dup := false
-		for _, s := range seen {
-			if s == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen = append(seen, id)
+	mark := e.newMark()
+	n := 0
+	for _, id := range g.masters {
+		if e.marks[id] != mark {
+			e.marks[id] = mark
+			n++
 		}
 	}
-	e.mcScratch = seen
-	return len(seen)
+	return n
+}
+
+// newMark starts a fresh stamp over e.marks: an instance is marked in the
+// current pass iff its entry equals the returned epoch.
+func (e *Engine) newMark() uint32 {
+	e.markEpoch++
+	if e.markEpoch == 0 { // wrapped: stale stamps could collide
+		clear(e.marks)
+		e.markEpoch = 1
+	}
+	return e.markEpoch
+}
+
+// countAssigned sets e.assigned[id] to the number of requests id masters,
+// for every group instance and every master.
+func (e *Engine) countAssigned(g *group) {
+	for _, id := range g.instances {
+		e.assigned[id] = 0
+	}
+	for _, m := range g.masters {
+		e.assigned[m] = 0
+	}
+	for _, m := range g.masters {
+		e.assigned[m]++
+	}
 }
 
 // considerComputeScaleUp grows the group / master set when the decode batch
@@ -624,10 +658,11 @@ func (e *Engine) considerComputeScaleUp(g *group) {
 		threshold = 1
 	}
 	desired := (len(g.reqs) + threshold - 1) / threshold
-	if desired <= e.masterCount(g) {
+	masters := e.masterCount(g)
+	if desired <= masters {
 		return
 	}
-	if e.masterCount(g) < len(g.instances) {
+	if masters < len(g.instances) {
 		e.rebalanceMasters(g, desired)
 		return
 	}
@@ -674,20 +709,17 @@ func (e *Engine) desiredMasters(g *group) int {
 // the youngest request as a last resort.
 func (e *Engine) ensureDecodeCapacity(g *group) {
 	for guard := 0; guard < 64; guard++ {
-		assigned := make(map[kvcache.InstanceID]int)
-		for _, r := range g.reqs {
-			assigned[g.master[r.ID]]++
-		}
+		e.countAssigned(g)
 		deficit := 0
 		for _, id := range g.instances {
-			if short := assigned[id] - e.env.Pool.Pool(id).Free(); short > 0 {
+			if short := e.assigned[id] - e.free(id); short > 0 {
 				deficit += short
 			}
 		}
 		if deficit == 0 {
 			return
 		}
-		if e.rebalanceTowardFree(g, assigned) {
+		if e.rebalanceTowardFree(g) {
 			continue
 		}
 		if !e.Opts.DisableScaleUp {
@@ -706,20 +738,20 @@ func (e *Engine) ensureDecodeCapacity(g *group) {
 // rebalanceTowardFree moves mastership of requests from over-committed
 // instances to group members with spare slots. Mastership moves are free:
 // only future tokens land on the new master (§4.2). Reports whether any
-// move happened.
-func (e *Engine) rebalanceTowardFree(g *group, assigned map[kvcache.InstanceID]int) bool {
-	spare := func(id kvcache.InstanceID) int { return e.env.Pool.Pool(id).Free() - assigned[id] }
+// move happened. e.assigned holds the per-master counts (countAssigned)
+// and is kept current.
+func (e *Engine) rebalanceTowardFree(g *group) bool {
+	assigned := e.assigned
 	moved := false
-	for _, r := range g.reqs {
-		m := g.master[r.ID]
-		if e.env.Pool.Pool(m).Free() >= assigned[m] {
+	for i, m := range g.masters {
+		if e.free(m) >= assigned[m] {
 			continue
 		}
 		// Find the group instance with the most spare capacity.
 		var best kvcache.InstanceID = -1
 		bestSpare := 0
 		for _, id := range g.instances {
-			if s := spare(id); s > bestSpare {
+			if s := e.free(id) - assigned[id]; s > bestSpare {
 				best, bestSpare = id, s
 			}
 		}
@@ -728,7 +760,7 @@ func (e *Engine) rebalanceTowardFree(g *group, assigned map[kvcache.InstanceID]i
 		}
 		assigned[m]--
 		assigned[best]++
-		g.master[r.ID] = best
+		g.masters[i] = best
 		moved = true
 	}
 	return moved
@@ -746,16 +778,12 @@ func (e *Engine) rebalanceMasters(g *group, n int) {
 	if n > len(g.instances) {
 		n = len(g.instances)
 	}
-	order := append([]kvcache.InstanceID(nil), g.instances...)
-	sort.Slice(order, func(a, b int) bool {
-		fa, fb := e.env.Pool.Pool(order[a]).Free(), e.env.Pool.Pool(order[b]).Free()
-		if fa != fb {
-			return fa > fb
-		}
-		return order[a] < order[b]
-	})
-	for i, r := range g.reqs {
-		g.master[r.ID] = order[i%n]
+	order := append(e.orderScratch[:0], g.instances...)
+	e.orderScratch = order
+	e.sortByFree(order, true)
+	g.masters = g.masters[:0]
+	for i := range g.reqs {
+		g.masters = append(g.masters, order[i%n])
 	}
 }
 
@@ -773,7 +801,7 @@ func (e *Engine) addInstance(g *group, id kvcache.InstanceID) {
 // recursing: launchDecode runs inside schedule(), and the freed instances
 // only become claimable once the current pass finishes.
 func (e *Engine) wakeIfPending() {
-	if len(e.pending) == 0 {
+	if e.pending.len() == 0 {
 		return
 	}
 	e.env.Sim.After(0, e.scheduleFn)
@@ -793,12 +821,12 @@ func (e *Engine) preemptYoungest(g *group) {
 		}
 	}
 	victim := g.reqs[worst]
-	g.reqs = append(g.reqs[:worst], g.reqs[worst+1:]...)
-	delete(g.master, victim.ID)
+	g.reqs = slices.Delete(g.reqs, worst, worst+1)
+	g.masters = slices.Delete(g.masters, worst, worst+1)
 	e.env.Pool.ReleaseRequest(victim.ID)
 	e.recompute[victim.ID] = victim.KVNow()
 	victim.Phase = serving.Pending
-	e.pending = append([]*serving.Request{victim}, e.pending...)
+	e.pending.pushFront(victim)
 	e.Preemptions++
 	e.tracer.record(e.env.Sim.Now(), TracePreempt, g, victim.KVNow())
 }
@@ -810,31 +838,33 @@ func (e *Engine) shrinkDecode(g *group) {
 	if len(g.instances) <= 1 {
 		return
 	}
-	inUse := make(map[kvcache.InstanceID]bool)
-	for _, r := range g.reqs {
-		inUse[g.master[r.ID]] = true
-		e.env.Pool.EachPlacement(r.ID, func(id kvcache.InstanceID, n int) {
-			if n > 0 {
-				inUse[id] = true
-			}
-		})
-	}
-	var keep []kvcache.InstanceID
+	mark := e.markInUse(g)
+	n := len(g.instances)
+	keep := g.instances[:0] // filtered in place: no other slice shares it
 	for _, id := range g.instances {
-		if inUse[id] {
+		if e.marks[id] == mark {
 			keep = append(keep, id)
 			continue
 		}
-		delete(e.byInst, id)
+		e.byInst[id] = nil
 	}
 	if len(keep) == 0 {
 		keep = g.instances[:1]
 		e.byInst[keep[0]] = g
 	}
-	if len(keep) < len(g.instances) {
-		g.instances = keep
-		e.tracer.record(e.env.Sim.Now(), TraceShrink, g, 0)
-		return
-	}
 	g.instances = keep
+	if len(keep) < n {
+		e.tracer.record(e.env.Sim.Now(), TraceShrink, g, 0)
+	}
+}
+
+// markInUse stamps every instance that masters one of g's requests or
+// holds any of their KV, and returns the stamp.
+func (e *Engine) markInUse(g *group) uint32 {
+	mark := e.newMark()
+	for i, r := range g.reqs {
+		e.marks[g.masters[i]] = mark
+		e.env.Pool.EachPlacement(r.ID, e.markVisit)
+	}
+	return mark
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"loongserve/internal/cluster"
@@ -41,15 +42,17 @@ func req(id int, in, out int) *serving.Request {
 
 func TestDispatchFCFSAndMemoryGate(t *testing.T) {
 	e := newEngineForUnit(t)
-	e.pending = []*serving.Request{req(1, 100, 10), req(2, 1_000_000, 10), req(3, 50, 5)}
+	for _, r := range []*serving.Request{req(1, 100, 10), req(2, 1_000_000, 10), req(3, 50, 5)} {
+		e.pending.pushBack(r)
+	}
 	rp := e.dispatch(500_000, 4)
 	// Head fits, the million-token request does not; strict FCFS stops
 	// there rather than skipping ahead.
 	if len(rp) != 1 || rp[0].ID != 1 {
 		t.Fatalf("dispatch = %v", ids(rp))
 	}
-	if len(e.pending) != 2 || e.pending[0].ID != 2 {
-		t.Fatalf("pending after dispatch = %v", ids(e.pending))
+	if e.pending.len() != 2 || e.pending.front().ID != 2 {
+		t.Fatalf("pending after dispatch: %d requests", e.pending.len())
 	}
 }
 
@@ -66,7 +69,7 @@ func TestDispatchTippingPointStopsBatch(t *testing.T) {
 	// Many mid-size requests: the tipping point must cut the batch well
 	// before maxDispatch.
 	for i := 0; i < maxDispatch; i++ {
-		e.pending = append(e.pending, req(i+1, 5_000, 10))
+		e.pending.pushBack(req(i+1, 5_000, 10))
 	}
 	rp := e.dispatch(1<<30, 4)
 	if len(rp) == 0 || len(rp) >= maxDispatch {
@@ -178,7 +181,6 @@ func TestRebalanceMastersConcentratesAndSpreads(t *testing.T) {
 	g := &group{
 		id: 1, phase: phaseDecode,
 		instances: []kvcache.InstanceID{0, 1, 2},
-		master:    map[kvcache.RequestID]kvcache.InstanceID{},
 	}
 	for i := 0; i < 6; i++ {
 		g.reqs = append(g.reqs, req(i+1, 100, 50))
@@ -214,7 +216,7 @@ func TestEvacuateShrinksGroup(t *testing.T) {
 		id: 1, phase: phaseDecode,
 		instances: []kvcache.InstanceID{0, 1},
 		reqs:      []*serving.Request{r},
-		master:    map[kvcache.RequestID]kvcache.InstanceID{r.ID: 1},
+		masters:   []kvcache.InstanceID{1},
 	}
 	e.addGroup(g)
 	e.byInst[0] = g
@@ -233,8 +235,8 @@ func TestEvacuateShrinksGroup(t *testing.T) {
 	if got := e.env.Pool.Placement(r.ID)[0]; got != 2_000 {
 		t.Fatalf("KV on instance 0 = %d, want 2000", got)
 	}
-	if g.master[r.ID] != 0 {
-		t.Fatalf("master still on evacuated instance: %v", g.master[r.ID])
+	if g.masters[0] != 0 {
+		t.Fatalf("master still on evacuated instance: %v", g.masters[0])
 	}
 	if err := e.env.Pool.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -253,7 +255,7 @@ func TestEvacuateSingleInstanceGroupMerges(t *testing.T) {
 			id: gid, phase: phaseDecode,
 			instances: []kvcache.InstanceID{inst},
 			reqs:      []*serving.Request{r},
-			master:    map[kvcache.RequestID]kvcache.InstanceID{r.ID: inst},
+			masters:   []kvcache.InstanceID{inst},
 		}
 		e.addGroup(g)
 		e.byInst[inst] = g
@@ -265,8 +267,8 @@ func TestEvacuateSingleInstanceGroupMerges(t *testing.T) {
 	if _, ok := e.evacuate(0); !ok {
 		t.Fatal("merge evacuation refused")
 	}
-	if len(e.groups) != 1 {
-		t.Fatalf("groups after merge = %d", len(e.groups))
+	if len(e.groupList) != 1 {
+		t.Fatalf("groups after merge = %d", len(e.groupList))
 	}
 	if len(g2.reqs) != 2 {
 		t.Fatalf("target group has %d requests, want 2", len(g2.reqs))
@@ -286,7 +288,7 @@ func TestEvacuateRefusesRunningGroup(t *testing.T) {
 		id: 1, phase: phaseDecode, running: true,
 		instances: []kvcache.InstanceID{0},
 		reqs:      []*serving.Request{r},
-		master:    map[kvcache.RequestID]kvcache.InstanceID{r.ID: 0},
+		masters:   []kvcache.InstanceID{0},
 	}
 	e.addGroup(g)
 	e.byInst[0] = g
@@ -314,8 +316,7 @@ func TestDesiredMastersThresholding(t *testing.T) {
 func TestMergeGainPrefersAmortization(t *testing.T) {
 	e := newEngineForUnit(t)
 	mk := func(gid int, inst kvcache.InstanceID, n int) *group {
-		g := &group{id: gid, phase: phaseDecode, instances: []kvcache.InstanceID{inst},
-			master: map[kvcache.RequestID]kvcache.InstanceID{}}
+		g := &group{id: gid, phase: phaseDecode, instances: []kvcache.InstanceID{inst}}
 		for i := 0; i < n; i++ {
 			r := req(gid*1000+i, 200, 100)
 			r.Generated = 5
@@ -354,5 +355,40 @@ func TestSubtractAndInstIn(t *testing.T) {
 	}
 	if !instIn(a, 2) || instIn(b, 0) {
 		t.Fatal("instIn wrong")
+	}
+}
+
+// TestReqQueueMatchesSlice drives the pending ring buffer and a plain slice
+// with the same random pushes and pops, across many wraparounds and
+// growths.
+func TestReqQueueMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var q reqQueue
+	var ref []*serving.Request
+	for op := 0; op < 20_000; op++ {
+		switch k := rng.Intn(5); {
+		case k < 2:
+			r := req(op, 1, 1)
+			q.pushBack(r)
+			ref = append(ref, r)
+		case k == 2:
+			r := req(op, 1, 1)
+			q.pushFront(r)
+			ref = append([]*serving.Request{r}, ref...)
+		default:
+			if len(ref) == 0 {
+				continue
+			}
+			if got := q.popFront(); got != ref[0] {
+				t.Fatalf("op %d: popped %d, want %d", op, got.ID, ref[0].ID)
+			}
+			ref = ref[1:]
+		}
+		if q.len() != len(ref) {
+			t.Fatalf("op %d: len %d, want %d", op, q.len(), len(ref))
+		}
+		if len(ref) > 0 && q.front() != ref[0] {
+			t.Fatalf("op %d: front %d, want %d", op, q.front().ID, ref[0].ID)
+		}
 	}
 }

@@ -61,8 +61,8 @@ func TestPreemptionDissolveWakesScheduler(t *testing.T) {
 	if len(recs) != n {
 		t.Fatalf("completed %d of %d requests (lost wakeup after preemption?)", len(recs), n)
 	}
-	if len(eng.pending) != 0 {
-		t.Fatalf("%d requests stranded in the pending queue", len(eng.pending))
+	if eng.pending.len() != 0 {
+		t.Fatalf("%d requests stranded in the pending queue", eng.pending.len())
 	}
 	if eng.Preemptions == 0 {
 		t.Fatal("trace no longer triggers a preemption; the regression scenario is gone")
