@@ -1,10 +1,27 @@
 package kvcache
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// newPoolOf builds a distributed pool over instances 0..len(caps)-1.
+func newPoolOf(caps []int) *DistributedPool {
+	m := make(map[InstanceID]int, len(caps))
+	for i, c := range caps {
+		m[InstanceID(i)] = c
+	}
+	return NewDistributedPool(m)
+}
+
+// spread places n tokens of r across every instance.
+func spread(d *DistributedPool, r RequestID, n int) error {
+	_, err := d.PlaceSpread(r, n, nil)
+	return err
+}
 
 func TestPoolAllocRelease(t *testing.T) {
 	p := NewPool(0, 10)
@@ -289,77 +306,219 @@ func TestUnknownInstanceErrors(t *testing.T) {
 	}
 }
 
-// Property: any random sequence of spread-placements, single-placements,
-// partial releases, moves, and full releases preserves pool invariants and
-// never leaks or double-frees slots.
+// ledgerModel is the naive reference the pool is checked against: tokens
+// per (request, instance), with no indexing or recycling.
+type ledgerModel struct {
+	caps []int
+	held map[[2]int64]int
+}
+
+func (m *ledgerModel) get(r RequestID, id InstanceID) int {
+	return m.held[[2]int64{int64(r), int64(id)}]
+}
+
+func (m *ledgerModel) add(r RequestID, id InstanceID, n int) {
+	k := [2]int64{int64(r), int64(id)}
+	if m.held[k] += n; m.held[k] == 0 {
+		delete(m.held, k)
+	}
+}
+
+func (m *ledgerModel) used(id InstanceID) int {
+	t := 0
+	for k, n := range m.held {
+		if k[1] == int64(id) {
+			t += n
+		}
+	}
+	return t
+}
+
+func (m *ledgerModel) free(id InstanceID) int { return m.caps[id] - m.used(id) }
+
+func (m *ledgerModel) heldBy(r RequestID) int {
+	t := 0
+	for id := range m.caps {
+		t += m.get(r, InstanceID(id))
+	}
+	return t
+}
+
+// spread applies unified placement to the model: most-free first, ties
+// toward the lower ID. It reports false (changing nothing) when n tokens
+// exceed the total free.
+func (m *ledgerModel) spread(r RequestID, n int) bool {
+	order := make([]InstanceID, len(m.caps))
+	total := 0
+	for i := range order {
+		order[i] = InstanceID(i)
+		total += m.free(InstanceID(i))
+	}
+	if total < n {
+		return false
+	}
+	sort.SliceStable(order, func(i, j int) bool { return m.free(order[i]) > m.free(order[j]) })
+	for _, id := range order {
+		take := min(m.free(id), n)
+		m.add(r, id, take)
+		n -= take
+	}
+	return true
+}
+
+// check compares the pool with the model on every observable: per-instance
+// free slots, total use, and each live request's per-instance holdings, read
+// both one instance at a time and through EachPlacement.
+func (m *ledgerModel) check(d *DistributedPool, live []RequestID) error {
+	if err := d.CheckInvariants(); err != nil {
+		return err
+	}
+	total := 0
+	for i := range m.caps {
+		id := InstanceID(i)
+		total += m.used(id)
+		if got, want := d.Pool(id).Free(), m.free(id); got != want {
+			return fmt.Errorf("instance %d: Free %d, model %d", id, got, want)
+		}
+	}
+	if got := d.TotalUsed(); got != total {
+		return fmt.Errorf("TotalUsed %d, model %d", got, total)
+	}
+	for _, r := range live {
+		for i := range m.caps {
+			if got, want := d.HeldOn(r, InstanceID(i)), m.get(r, InstanceID(i)); got != want {
+				return fmt.Errorf("request %d instance %d: HeldOn %d, model %d", r, i, got, want)
+			}
+		}
+		seen := map[InstanceID]bool{}
+		var err error
+		d.EachPlacement(r, func(id InstanceID, n int) {
+			if seen[id] || n <= 0 || n != m.get(r, id) {
+				err = fmt.Errorf("request %d: EachPlacement yields (%d, %d), model %d", r, id, n, m.get(r, id))
+			}
+			seen[id] = true
+		})
+		if err != nil {
+			return err
+		}
+		for i := range m.caps {
+			if m.get(r, InstanceID(i)) > 0 && !seen[InstanceID(i)] {
+				return fmt.Errorf("request %d: EachPlacement skips instance %d", r, i)
+			}
+		}
+	}
+	return nil
+}
+
+// Property: any random sequence of spread placements, single-instance
+// allocations, partial and full releases, moves and rejected operations
+// keeps the pool equal to a naive per-(request, instance) model, never
+// leaking or double-freeing a slot.
 func TestPropertyPoolInvariantsUnderRandomOps(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		caps := map[InstanceID]int{}
-		m := rng.Intn(5) + 1
-		for i := 0; i < m; i++ {
-			caps[InstanceID(i)] = rng.Intn(40)
+		caps := make([]int, rng.Intn(5)+1)
+		for i := range caps {
+			caps[i] = rng.Intn(40)
 		}
-		d := NewDistributedPool(caps)
-		live := map[RequestID]bool{}
+		d := newPoolOf(caps)
+		m := &ledgerModel{caps: caps, held: map[[2]int64]int{}}
+		var live []RequestID
 		next := RequestID(1)
+		// pick returns a live request and one instance it holds tokens on.
+		pick := func() (int, RequestID, InstanceID, bool) {
+			if len(live) == 0 {
+				return 0, 0, 0, false
+			}
+			k := rng.Intn(len(live))
+			var ids []InstanceID
+			d.EachPlacement(live[k], func(id InstanceID, _ int) { ids = append(ids, id) })
+			return k, live[k], ids[rng.Intn(len(ids))], true
+		}
+		drop := func(k int) {
+			if m.heldBy(live[k]) == 0 {
+				live = append(live[:k], live[k+1:]...)
+			}
+		}
 		for op := 0; op < 200; op++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0: // spread place
 				n := rng.Intn(30)
-				if _, err := d.PlaceSpread(next, n, nil); err == nil {
-					if n > 0 {
-						live[next] = true
-					}
-					next++
+				fits := m.spread(next, n)
+				if err := spread(d, next, n); (err == nil) != fits {
+					t.Logf("op %d: spread %d: err %v, model fits %v", op, n, err, fits)
+					return false
 				}
-			case 1: // single place
-				n := rng.Intn(20)
-				if _, err := d.PlaceSingle(next, n, nil); err == nil {
-					if n > 0 {
-						live[next] = true
-					}
-					next++
+				if fits && n > 0 {
+					live = append(live, next)
 				}
-			case 2: // release a random live request
-				for r := range live {
-					d.ReleaseRequest(r)
-					delete(live, r)
-					break
+				next++
+			case 1: // allocate on one instance
+				n, id := rng.Intn(20), InstanceID(rng.Intn(len(caps)))
+				fits := m.free(id) >= n
+				if err := d.AllocAt(next, id, n); (err == nil) != fits {
+					t.Logf("op %d: AllocAt(%d, %d): err %v, model fits %v", op, id, n, err, fits)
+					return false
 				}
-			case 3: // move some tokens of a live request
-				for r := range live {
-					pl := d.Placement(r)
-					for src, n := range pl {
-						dst := InstanceID(rng.Intn(m))
-						amt := rng.Intn(n + 1)
-						_ = d.Move(r, src, dst, amt) // may legitimately fail
-						break
+				if fits && n > 0 {
+					m.add(next, id, n)
+					live = append(live, next)
+				}
+				next++
+			case 2: // release a whole request
+				if k, r, _, ok := pick(); ok {
+					if got, want := d.ReleaseRequest(r), m.heldBy(r); got != want {
+						t.Logf("op %d: ReleaseRequest(%d) freed %d, model %d", op, r, got, want)
+						return false
 					}
-					break
+					for i := range caps {
+						m.add(r, InstanceID(i), -m.get(r, InstanceID(i)))
+					}
+					if d.HeldOn(r, 0) != 0 {
+						return false
+					}
+					drop(k)
+				}
+			case 3: // move some tokens to a random instance
+				if k, r, src, ok := pick(); ok {
+					dst := InstanceID(rng.Intn(len(caps)))
+					amt := rng.Intn(m.get(r, src) + 2)
+					fits := m.get(r, src) >= amt && m.free(dst) >= amt
+					if err := d.Move(r, src, dst, amt); (err == nil) != fits {
+						t.Logf("op %d: Move(%d, %d->%d, %d): err %v, model fits %v", op, r, src, dst, amt, err, fits)
+						return false
+					}
+					if fits {
+						m.add(r, src, -amt)
+						m.add(r, dst, amt)
+					}
+					drop(k)
 				}
 			case 4: // partial release
-				for r := range live {
-					pl := d.Placement(r)
-					for src, n := range pl {
-						if err := d.ReleaseAt(r, src, rng.Intn(n+1)); err != nil {
-							return false
-						}
-						break
+				if k, r, src, ok := pick(); ok {
+					n := rng.Intn(m.get(r, src) + 1)
+					if err := d.ReleaseAt(r, src, n); err != nil {
+						t.Logf("op %d: ReleaseAt: %v", op, err)
+						return false
 					}
-					if d.HeldBy(r) == 0 {
-						delete(live, r)
-					}
-					break
+					m.add(r, src, -n)
+					drop(k)
+				}
+			case 5: // rejected operations change nothing
+				id := InstanceID(rng.Intn(len(caps)))
+				if d.AllocAt(next, id, -1) == nil || d.ReleaseAt(next, id, -1) == nil ||
+					d.ReleaseAt(next, id, 1) == nil || d.AllocAt(next, id, m.free(id)+1) == nil {
+					t.Logf("op %d: a rejected operation succeeded", op)
+					return false
 				}
 			}
-			if err := d.CheckInvariants(); err != nil {
-				t.Logf("invariant violated at op %d: %v", op, err)
+			if err := m.check(d, live); err != nil {
+				t.Logf("op %d: %v", op, err)
 				return false
 			}
 		}
 		// Releasing everything must return the pool to empty.
-		for r := range live {
+		for _, r := range live {
 			d.ReleaseRequest(r)
 		}
 		return d.TotalUsed() == 0 && d.CheckInvariants() == nil
