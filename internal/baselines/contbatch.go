@@ -163,7 +163,8 @@ func (e *ContBatch) Arrive(r *serving.Request) {
 // freeTokens returns allocatable tokens under the placement discipline.
 func (e *ContBatch) freeTokens() int {
 	if e.Spread {
-		return e.env.Pool.TotalFree(e.Instances)
+		free, _ := e.env.Pool.TotalFree(e.Instances) // Init checked every instance
+		return free
 	}
 	return e.env.Pool.Pool(e.Instances[0]).Free()
 }
@@ -171,8 +172,7 @@ func (e *ContBatch) freeTokens() int {
 // alloc reserves n tokens for r under the placement discipline.
 func (e *ContBatch) alloc(r *serving.Request, n int) error {
 	if e.Spread {
-		_, err := e.env.Pool.PlaceSpread(r.ID, n, e.Instances)
-		return err
+		return e.env.Pool.PlaceSpread(r.ID, n, e.Instances)
 	}
 	return e.env.Pool.AllocAt(r.ID, e.Instances[0], n)
 }

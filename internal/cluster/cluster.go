@@ -164,19 +164,14 @@ func (c *Cluster) Instance(id kvcache.InstanceID) *Instance {
 	return c.Instances[i]
 }
 
-// Capacities returns the per-instance KV capacities keyed by instance ID,
-// in the form kvcache.NewDistributedPool consumes.
-func (c *Cluster) Capacities() map[kvcache.InstanceID]int {
-	out := make(map[kvcache.InstanceID]int, len(c.Instances))
-	for _, inst := range c.Instances {
-		out[inst.ID] = inst.KVCapacity
-	}
-	return out
-}
-
-// NewPool builds the unified distributed KV cache pool over all instances.
+// NewPool builds the unified distributed KV cache pool over all instances,
+// indexed by instance ID.
 func (c *Cluster) NewPool() *kvcache.DistributedPool {
-	return kvcache.NewDistributedPool(c.Capacities())
+	caps := make([]int, len(c.Instances))
+	for _, inst := range c.Instances {
+		caps[inst.ID] = inst.KVCapacity
+	}
+	return kvcache.NewDistributedPool(caps)
 }
 
 // LinkBetween returns the channel between two instances: NVLink within a

@@ -94,11 +94,15 @@ func TestKVCapacityAnchors(t *testing.T) {
 
 func TestCapacitiesAndPool(t *testing.T) {
 	c := testCluster(t, 1, 8, 2)
-	caps := c.Capacities()
-	if len(caps) != 4 {
-		t.Fatalf("capacities len %d", len(caps))
-	}
 	pool := c.NewPool()
+	for _, inst := range c.Instances {
+		if got := pool.Pool(inst.ID).Capacity(); got != inst.KVCapacity {
+			t.Fatalf("instance %d pool capacity %d, want %d", inst.ID, got, inst.KVCapacity)
+		}
+	}
+	if pool.Pool(4) != nil {
+		t.Fatal("pool has a fifth instance")
+	}
 	if pool.TotalCapacity() != 4*c.Instances[0].KVCapacity {
 		t.Fatalf("pool capacity %d", pool.TotalCapacity())
 	}

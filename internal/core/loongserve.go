@@ -81,9 +81,8 @@ type Engine struct {
 
 	// Instance-indexed state. Cluster instance ids are dense (0..n-1), so
 	// per-instance lookups are slice indexing: byInst is each instance's
-	// group (nil when idle) and pools caches each instance's KV pool.
+	// group (nil when idle).
 	byInst []*group
-	pools  []*kvcache.Pool
 
 	// Per-SP fitted model tables, built once at Init from the SIB: the
 	// scheduler consults coefficients on every dispatch decision and in the
@@ -273,7 +272,6 @@ func (e *Engine) Init(env *serving.Env) error {
 		return fmt.Errorf("%s: empty cluster", e.Label)
 	}
 	e.byInst = make([]*group, n)
-	e.pools = make([]*kvcache.Pool, n)
 	e.assigned = make([]int, n)
 	e.marks = make([]uint32, n)
 	for i, inst := range env.Cluster.Instances {
@@ -283,7 +281,6 @@ func (e *Engine) Init(env *serving.Env) error {
 		if int(inst.ID) != i {
 			return fmt.Errorf("%s: instance ids must be 0..%d in order, got %d at %d", e.Label, n-1, inst.ID, i)
 		}
-		e.pools[i] = env.Pool.Pool(inst.ID)
 	}
 	e.markVisit = func(id kvcache.InstanceID, tokens int) {
 		if tokens > 0 {
@@ -412,7 +409,7 @@ func (e *Engine) idleInstances() []kvcache.InstanceID {
 }
 
 // free returns instance id's free KV slots.
-func (e *Engine) free(id kvcache.InstanceID) int { return e.pools[id].Free() }
+func (e *Engine) free(id kvcache.InstanceID) int { return e.env.Pool.Pool(id).Free() }
 
 // sortByFree orders ids by free KV slots, most free first when mostFree
 // and least free first otherwise, breaking ties by ascending id. The order
@@ -546,7 +543,7 @@ func (e *Engine) launchPrefill(reqs []*serving.Request, lens []int, insts []kvca
 	g.retain = retain
 	for _, r := range reqs {
 		r.Phase = serving.Prefilling
-		if _, err := e.env.Pool.PlaceSpread(r.ID, e.reserveLen(r), retain); err != nil {
+		if err := e.env.Pool.PlaceSpread(r.ID, e.reserveLen(r), retain); err != nil {
 			panic(fmt.Sprintf("%s: prefill reservation failed after planning: %v", e.Label, err))
 		}
 	}

@@ -1,6 +1,6 @@
-// Package kvcache provides key-value cache *accounting*: fixed-capacity
-// token-slot pools per elastic instance, per-request placement maps, and the
-// cluster-wide unified distributed pool view.
+// Package kvcache provides key-value cache *accounting*: the unified
+// distributed pool of a cluster, which counts the token slots of every
+// elastic instance and records, once, how many each request holds where.
 //
 // LoongServe's central memory idea (§4) is that KV tensors are managed at
 // the granularity of a single token with no locality constraint: a
@@ -8,8 +8,8 @@
 // keep the whole-request locality constraint, which produces the
 // fragmentation of Fig 4 — six free slots spread over three instances
 // cannot serve a six-token request. Both disciplines are expressible here:
-// unified placement via DistributedPool.PlaceSpread, locality via
-// PlaceSingle.
+// unified placement via DistributedPool.PlaceSpread, locality by
+// allocating a request's tokens on one instance with AllocAt.
 //
 // This package tracks only slot counts and placements; the actual tensor
 // payloads live in internal/model.KVCache (functional layer) or are purely
@@ -17,8 +17,9 @@
 package kvcache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // RequestID identifies a serving request.
@@ -27,20 +28,11 @@ type RequestID int64
 // InstanceID identifies an elastic instance.
 type InstanceID int
 
-// Pool is the token-slot pool of a single elastic instance.
+// Pool is the token-slot counter of a single elastic instance. Which
+// requests hold its slots is recorded in the DistributedPool's placements.
 type Pool struct {
-	Instance InstanceID
 	capacity int
 	used     int
-	held     map[RequestID]int
-}
-
-// NewPool returns an empty pool with the given capacity in token slots.
-func NewPool(inst InstanceID, capacity int) *Pool {
-	if capacity < 0 {
-		panic(fmt.Sprintf("kvcache: negative capacity %d", capacity))
-	}
-	return &Pool{Instance: inst, capacity: capacity, held: make(map[RequestID]int)}
 }
 
 // Capacity returns the total slot count.
@@ -52,103 +44,6 @@ func (p *Pool) Used() int { return p.used }
 // Free returns the number of unoccupied slots.
 func (p *Pool) Free() int { return p.capacity - p.used }
 
-// Held returns the slots held by one request.
-func (p *Pool) Held(r RequestID) int { return p.held[r] }
-
-// Requests returns the IDs holding slots, in ascending order.
-func (p *Pool) Requests() []RequestID {
-	ids := make([]RequestID, 0, len(p.held))
-	for id := range p.held {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Alloc reserves n slots for request r. It fails without side effects when
-// fewer than n slots are free.
-func (p *Pool) Alloc(r RequestID, n int) error {
-	if n < 0 {
-		return fmt.Errorf("kvcache: instance %d: negative alloc %d", p.Instance, n)
-	}
-	if p.Free() < n {
-		return fmt.Errorf("kvcache: instance %d: alloc %d exceeds %d free", p.Instance, n, p.Free())
-	}
-	p.used += n
-	if n > 0 {
-		p.held[r] += n
-	}
-	return nil
-}
-
-// Release returns n of request r's slots to the pool.
-func (p *Pool) Release(r RequestID, n int) error {
-	if n < 0 {
-		return fmt.Errorf("kvcache: instance %d: negative release %d", p.Instance, n)
-	}
-	have := p.held[r]
-	if n > have {
-		return fmt.Errorf("kvcache: instance %d: release %d > held %d for request %d", p.Instance, n, have, r)
-	}
-	p.used -= n
-	if have == n {
-		delete(p.held, r)
-	} else {
-		p.held[r] = have - n
-	}
-	return nil
-}
-
-// ReleaseAll frees every slot held by request r and returns how many were
-// freed.
-func (p *Pool) ReleaseAll(r RequestID) int {
-	n := p.held[r]
-	p.used -= n
-	delete(p.held, r)
-	return n
-}
-
-// Placement records where a request's KV tokens live: token counts per
-// instance. The zero value is an empty placement.
-type Placement map[InstanceID]int
-
-// Total returns the token count across all instances.
-func (pl Placement) Total() int {
-	t := 0
-	for _, n := range pl {
-		t += n
-	}
-	return t
-}
-
-// Instances returns the instance IDs with a non-zero share, ascending.
-func (pl Placement) Instances() []InstanceID {
-	ids := make([]InstanceID, 0, len(pl))
-	for id, n := range pl {
-		if n > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Clone returns a copy of the placement.
-func (pl Placement) Clone() Placement {
-	c := make(Placement, len(pl))
-	for id, n := range pl {
-		c[id] = n
-	}
-	return c
-}
-
-// Add merges another placement into pl.
-func (pl Placement) Add(other Placement) {
-	for id, n := range other {
-		pl[id] += n
-	}
-}
-
 // instShare is one (instance, token count) component of a request's
 // placement. Requests touch few instances, so placements are stored as
 // small slices: updating one is a scan and an in-place increment instead
@@ -159,8 +54,9 @@ type instShare struct {
 	n  int
 }
 
-// reqPlacement is the mutable placement record of one request. Retired
-// records are recycled through the pool's free list.
+// reqPlacement is the mutable placement record of one request: its
+// non-zero shares, one per instance. Retired records are recycled through
+// the pool's free list.
 type reqPlacement struct {
 	shares []instShare
 }
@@ -174,30 +70,31 @@ func (pl *reqPlacement) idx(id InstanceID) int {
 	return -1
 }
 
-func (pl *reqPlacement) total() int {
-	t := 0
-	for i := range pl.shares {
-		t += pl.shares[i].n
-	}
-	return t
-}
-
-// DistributedPool is the unified distributed KV cache pool: the pools of
-// every elastic instance plus the per-request placement index.
+// DistributedPool is the unified distributed KV cache pool: the slot
+// counters of instances 0..n-1 plus the per-request placement records,
+// the only ledger of who holds what.
 type DistributedPool struct {
-	pools      map[InstanceID]*Pool
+	pools      []Pool       // indexed by InstanceID
+	all        []InstanceID // 0..n-1, the subset that nil stands for
 	placements map[RequestID]*reqPlacement
 	plFree     []*reqPlacement // recycled placement records
+	order      []instShare     // PlaceSpread scratch
 }
 
-// NewDistributedPool builds a pool set from per-instance capacities.
-func NewDistributedPool(capacities map[InstanceID]int) *DistributedPool {
+// NewDistributedPool builds a pool set over instances 0..len-1, instance i
+// holding capacities[i] token slots.
+func NewDistributedPool(capacities []int) *DistributedPool {
 	d := &DistributedPool{
-		pools:      make(map[InstanceID]*Pool, len(capacities)),
+		pools:      make([]Pool, len(capacities)),
+		all:        make([]InstanceID, len(capacities)),
 		placements: make(map[RequestID]*reqPlacement),
 	}
-	for id, c := range capacities {
-		d.pools[id] = NewPool(id, c)
+	for i, c := range capacities {
+		if c < 0 {
+			panic(fmt.Sprintf("kvcache: negative capacity %d", c))
+		}
+		d.pools[i].capacity = c
+		d.all[i] = InstanceID(i)
 	}
 	return d
 }
@@ -212,42 +109,50 @@ func (d *DistributedPool) newPlacement() *reqPlacement {
 	return &reqPlacement{}
 }
 
-func (d *DistributedPool) recyclePlacement(pl *reqPlacement) {
+func (d *DistributedPool) retire(r RequestID, pl *reqPlacement) {
+	delete(d.placements, r)
 	pl.shares = pl.shares[:0]
 	d.plFree = append(d.plFree, pl)
 }
 
 // Pool returns the pool of one instance (nil if unknown).
-func (d *DistributedPool) Pool(id InstanceID) *Pool { return d.pools[id] }
-
-// Instances returns all instance IDs, ascending.
-func (d *DistributedPool) Instances() []InstanceID {
-	ids := make([]InstanceID, 0, len(d.pools))
-	for id := range d.pools {
-		ids = append(ids, id)
+func (d *DistributedPool) Pool(id InstanceID) *Pool {
+	if id < 0 || int(id) >= len(d.pools) {
+		return nil
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return &d.pools[id]
+}
+
+// pool is Pool with an error naming an unknown instance.
+func (d *DistributedPool) pool(id InstanceID) (*Pool, error) {
+	if p := d.Pool(id); p != nil {
+		return p, nil
+	}
+	return nil, fmt.Errorf("kvcache: unknown instance %d", id)
 }
 
 // TotalFree returns free slots summed over a subset of instances (all when
 // subset is nil).
-func (d *DistributedPool) TotalFree(subset []InstanceID) int {
+func (d *DistributedPool) TotalFree(subset []InstanceID) (int, error) {
 	if subset == nil {
-		subset = d.Instances()
+		subset = d.all
 	}
 	t := 0
 	for _, id := range subset {
-		t += d.pools[id].Free()
+		p, err := d.pool(id)
+		if err != nil {
+			return 0, err
+		}
+		t += p.Free()
 	}
-	return t
+	return t, nil
 }
 
 // TotalCapacity returns capacity summed over all instances.
 func (d *DistributedPool) TotalCapacity() int {
 	t := 0
-	for _, p := range d.pools {
-		t += p.Capacity()
+	for i := range d.pools {
+		t += d.pools[i].capacity
 	}
 	return t
 }
@@ -255,8 +160,8 @@ func (d *DistributedPool) TotalCapacity() int {
 // TotalUsed returns used slots summed over all instances.
 func (d *DistributedPool) TotalUsed() int {
 	t := 0
-	for _, p := range d.pools {
-		t += p.Used()
+	for i := range d.pools {
+		t += d.pools[i].used
 	}
 	return t
 }
@@ -264,60 +169,48 @@ func (d *DistributedPool) TotalUsed() int {
 // MaxFree returns the largest per-instance free count within subset (all
 // when nil) and the instance achieving it. Ties break toward the lower ID
 // for determinism.
-func (d *DistributedPool) MaxFree(subset []InstanceID) (InstanceID, int) {
+func (d *DistributedPool) MaxFree(subset []InstanceID) (InstanceID, int, error) {
 	if subset == nil {
-		subset = d.Instances()
+		subset = d.all
 	}
 	best, bestFree := InstanceID(-1), -1
 	for _, id := range subset {
-		f := d.pools[id].Free()
-		if f > bestFree {
+		p, err := d.pool(id)
+		if err != nil {
+			return -1, -1, err
+		}
+		if f := p.Free(); f > bestFree {
 			best, bestFree = id, f
 		}
 	}
-	return best, bestFree
+	return best, bestFree, nil
 }
 
 // FitsUnified reports whether n tokens fit under the unified (token
 // granularity, no locality) discipline within subset: total free >= n.
+// Nothing fits a subset that names an unknown instance.
 func (d *DistributedPool) FitsUnified(n int, subset []InstanceID) bool {
-	return d.TotalFree(subset) >= n
-}
-
-// FitsLocal reports whether n tokens fit under the whole-request locality
-// constraint within subset: some single instance has >= n free. This is the
-// discipline that produces Fig 4's fragmentation.
-func (d *DistributedPool) FitsLocal(n int, subset []InstanceID) bool {
-	_, f := d.MaxFree(subset)
-	return f >= n
+	free, err := d.TotalFree(subset)
+	return err == nil && free >= n
 }
 
 // Fragmentation returns 1 - maxFree/totalFree over all instances: zero when
 // one instance holds all the free space (no fragmentation), approaching
 // 1-1/m when free space is spread evenly over m instances.
 func (d *DistributedPool) Fragmentation() float64 {
-	total := d.TotalFree(nil)
+	total, most := 0, 0
+	for i := range d.pools {
+		f := d.pools[i].Free()
+		total += f
+		most = max(most, f)
+	}
 	if total == 0 {
 		return 0
 	}
-	_, max := d.MaxFree(nil)
-	return 1 - float64(max)/float64(total)
+	return 1 - float64(most)/float64(total)
 }
 
-// Placement returns (a copy of) the placement of request r.
-func (d *DistributedPool) Placement(r RequestID) Placement {
-	pl := d.placements[r]
-	out := make(Placement, 2)
-	if pl != nil {
-		for _, s := range pl.shares {
-			out[s.id] = s.n
-		}
-	}
-	return out
-}
-
-// HeldOn returns the tokens request r holds on one instance, without
-// materializing the placement map.
+// HeldOn returns the tokens request r holds on one instance.
 func (d *DistributedPool) HeldOn(r RequestID, id InstanceID) int {
 	pl := d.placements[r]
 	if pl == nil {
@@ -329,11 +222,10 @@ func (d *DistributedPool) HeldOn(r RequestID, id InstanceID) int {
 	return 0
 }
 
-// EachPlacement calls f for every (instance, tokens) share of request r,
-// without materializing the placement map. Share order is deterministic
-// for a given operation history but otherwise unspecified (partial
-// releases compact the share list); callers must not mutate the pool
-// during iteration.
+// EachPlacement calls f for every (instance, tokens) share of request r.
+// Share order is deterministic for a given operation history but otherwise
+// unspecified (partial releases compact the share list); callers must not
+// mutate the pool during iteration.
 func (d *DistributedPool) EachPlacement(r RequestID, f func(InstanceID, int)) {
 	pl := d.placements[r]
 	if pl == nil {
@@ -344,35 +236,32 @@ func (d *DistributedPool) EachPlacement(r RequestID, f func(InstanceID, int)) {
 	}
 }
 
-// HeldBy returns the total tokens request r holds across the cluster.
-func (d *DistributedPool) HeldBy(r RequestID) int {
-	pl := d.placements[r]
-	if pl == nil {
-		return 0
-	}
-	return pl.total()
-}
-
-// AllocAt reserves n slots for r on a specific instance.
+// AllocAt reserves n slots for r on a specific instance. It fails without
+// side effects when fewer than n slots are free there.
 func (d *DistributedPool) AllocAt(r RequestID, id InstanceID, n int) error {
-	p, ok := d.pools[id]
-	if !ok {
-		return fmt.Errorf("kvcache: unknown instance %d", id)
-	}
-	if err := p.Alloc(r, n); err != nil {
+	p, err := d.pool(id)
+	if err != nil {
 		return err
 	}
-	if n > 0 {
-		pl := d.placements[r]
-		if pl == nil {
-			pl = d.newPlacement()
-			d.placements[r] = pl
-		}
-		if i := pl.idx(id); i >= 0 {
-			pl.shares[i].n += n
-		} else {
-			pl.shares = append(pl.shares, instShare{id, n})
-		}
+	if n < 0 {
+		return fmt.Errorf("kvcache: instance %d: negative alloc %d", id, n)
+	}
+	if p.Free() < n {
+		return fmt.Errorf("kvcache: instance %d: alloc %d exceeds %d free", id, n, p.Free())
+	}
+	if n == 0 {
+		return nil
+	}
+	p.used += n
+	pl := d.placements[r]
+	if pl == nil {
+		pl = d.newPlacement()
+		d.placements[r] = pl
+	}
+	if i := pl.idx(id); i >= 0 {
+		pl.shares[i].n += n
+	} else {
+		pl.shares = append(pl.shares, instShare{id, n})
 	}
 	return nil
 }
@@ -380,95 +269,75 @@ func (d *DistributedPool) AllocAt(r RequestID, id InstanceID, n int) error {
 // PlaceSpread allocates n tokens for r across subset (all instances when
 // nil) with no locality constraint, most-free-first — LoongServe's unified
 // placement. On failure nothing is allocated.
-func (d *DistributedPool) PlaceSpread(r RequestID, n int, subset []InstanceID) (Placement, error) {
+func (d *DistributedPool) PlaceSpread(r RequestID, n int, subset []InstanceID) error {
 	if subset == nil {
-		subset = d.Instances()
+		subset = d.all
 	}
-	if !d.FitsUnified(n, subset) {
-		return nil, fmt.Errorf("kvcache: %d tokens exceed %d free across %d instances", n, d.TotalFree(subset), len(subset))
+	free, err := d.TotalFree(subset)
+	if err != nil {
+		return err
+	}
+	if free < n {
+		return fmt.Errorf("kvcache: %d tokens exceed %d free across %d instances", n, free, len(subset))
 	}
 	// Most-free first, ties by ID for determinism.
-	order := append([]InstanceID(nil), subset...)
-	sort.Slice(order, func(i, j int) bool {
-		fi, fj := d.pools[order[i]].Free(), d.pools[order[j]].Free()
-		if fi != fj {
-			return fi > fj
+	order := d.order[:0]
+	for _, id := range subset {
+		order = append(order, instShare{id, d.pools[id].Free()})
+	}
+	d.order = order
+	slices.SortFunc(order, func(a, b instShare) int {
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a.id, b.id)
 	})
-	got := make(Placement)
 	remaining := n
-	for _, id := range order {
-		if remaining == 0 {
-			break
-		}
-		take := d.pools[id].Free()
-		if take > remaining {
-			take = remaining
-		}
+	for k := range order {
+		// order[k].n becomes the tokens taken on order[k].id.
+		take := min(d.pools[order[k].id].Free(), remaining)
+		order[k].n = take
 		if take == 0 {
 			continue
 		}
-		if err := d.AllocAt(r, id, take); err != nil {
+		if err := d.AllocAt(r, order[k].id, take); err != nil {
 			// Roll back; cannot happen given the checks above, but keep the
 			// pool consistent if it ever does.
-			for rid, cnt := range got {
-				_ = d.ReleaseAt(r, rid, cnt)
+			for _, s := range order[:k] {
+				_ = d.ReleaseAt(r, s.id, s.n)
 			}
-			return nil, err
+			return err
 		}
-		got[id] = take
 		remaining -= take
 	}
-	return got, nil
-}
-
-// PlaceSingle allocates n tokens for r on one instance (the fullest that
-// still fits, for best packing) — the locality discipline of the baselines.
-func (d *DistributedPool) PlaceSingle(r RequestID, n int, subset []InstanceID) (InstanceID, error) {
-	if subset == nil {
-		subset = d.Instances()
-	}
-	best, bestFree := InstanceID(-1), -1
-	for _, id := range subset {
-		f := d.pools[id].Free()
-		if f >= n && (bestFree == -1 || f < bestFree || (f == bestFree && id < best)) {
-			best, bestFree = id, f
-		}
-	}
-	if best == -1 {
-		return -1, fmt.Errorf("kvcache: no single instance fits %d tokens (max free %d)", n, func() int { _, f := d.MaxFree(subset); return f }())
-	}
-	if err := d.AllocAt(r, best, n); err != nil {
-		return -1, err
-	}
-	return best, nil
+	return nil
 }
 
 // ReleaseAt frees n of r's slots on one instance.
 func (d *DistributedPool) ReleaseAt(r RequestID, id InstanceID, n int) error {
-	p, ok := d.pools[id]
-	if !ok {
-		return fmt.Errorf("kvcache: unknown instance %d", id)
-	}
-	if err := p.Release(r, n); err != nil {
+	p, err := d.pool(id)
+	if err != nil {
 		return err
 	}
+	if n < 0 {
+		return fmt.Errorf("kvcache: instance %d: negative release %d", id, n)
+	}
+	if have := d.HeldOn(r, id); n > have {
+		return fmt.Errorf("kvcache: instance %d: release %d > held %d for request %d", id, n, have, r)
+	}
+	if n == 0 {
+		return nil
+	}
+	p.used -= n
 	pl := d.placements[r]
-	if pl == nil {
-		return nil // n == 0 on an unknown request
-	}
-	if i := pl.idx(id); i >= 0 {
-		pl.shares[i].n -= n
-		if pl.shares[i].n == 0 {
-			last := len(pl.shares) - 1
-			pl.shares[i] = pl.shares[last]
-			pl.shares = pl.shares[:last]
+	i := pl.idx(id)
+	if pl.shares[i].n -= n; pl.shares[i].n == 0 {
+		last := len(pl.shares) - 1
+		pl.shares[i] = pl.shares[last]
+		pl.shares = pl.shares[:last]
+		if last == 0 {
+			d.retire(r, pl)
 		}
-	}
-	if len(pl.shares) == 0 {
-		delete(d.placements, r)
-		d.recyclePlacement(pl)
 	}
 	return nil
 }
@@ -482,21 +351,28 @@ func (d *DistributedPool) ReleaseRequest(r RequestID) int {
 	}
 	total := 0
 	for _, s := range pl.shares {
-		total += d.pools[s.id].ReleaseAll(r)
+		d.pools[s.id].used -= s.n
+		total += s.n
 	}
-	delete(d.placements, r)
-	d.recyclePlacement(pl)
+	d.retire(r, pl)
 	return total
 }
 
 // Move transfers n of r's tokens from src to dst (dst must have room).
 // Returns an error and changes nothing on violation.
 func (d *DistributedPool) Move(r RequestID, src, dst InstanceID, n int) error {
-	if d.HeldOn(r, src) < n {
-		return fmt.Errorf("kvcache: request %d holds %d on instance %d, cannot move %d", r, d.HeldOn(r, src), src, n)
+	if _, err := d.pool(src); err != nil {
+		return err
 	}
-	if d.pools[dst].Free() < n {
-		return fmt.Errorf("kvcache: instance %d has %d free, cannot receive %d", dst, d.pools[dst].Free(), n)
+	q, err := d.pool(dst)
+	if err != nil {
+		return err
+	}
+	if have := d.HeldOn(r, src); have < n {
+		return fmt.Errorf("kvcache: request %d holds %d on instance %d, cannot move %d", r, have, src, n)
+	}
+	if q.Free() < n {
+		return fmt.Errorf("kvcache: instance %d has %d free, cannot receive %d", dst, q.Free(), n)
 	}
 	if err := d.ReleaseAt(r, src, n); err != nil {
 		return err
@@ -504,34 +380,33 @@ func (d *DistributedPool) Move(r RequestID, src, dst InstanceID, n int) error {
 	return d.AllocAt(r, dst, n)
 }
 
-// CheckInvariants verifies internal consistency: per-pool used == sum of
-// held, placements mirror pool holdings, and no pool exceeds capacity. It
-// is used by tests and property checks.
+// CheckInvariants verifies internal consistency: every placement record
+// holds positive shares on distinct known instances, each instance's used
+// count equals the sum of the shares placed on it, and no instance exceeds
+// its capacity. It is used by tests and property checks.
 func (d *DistributedPool) CheckInvariants() error {
-	for id, p := range d.pools {
-		sum := 0
-		for _, n := range p.held {
-			sum += n
+	sums := make([]int, len(d.pools))
+	for r, pl := range d.placements {
+		if len(pl.shares) == 0 {
+			return fmt.Errorf("kvcache: request %d has an empty placement record", r)
 		}
-		if sum != p.used {
-			return fmt.Errorf("kvcache: instance %d used %d != held sum %d", id, p.used, sum)
+		for i, s := range pl.shares {
+			if _, err := d.pool(s.id); err != nil {
+				return fmt.Errorf("kvcache: request %d: %v", r, err)
+			}
+			if s.n <= 0 || pl.idx(s.id) != i {
+				return fmt.Errorf("kvcache: request %d has share %d on instance %d (position %d)", r, s.n, s.id, i)
+			}
+			sums[s.id] += s.n
+		}
+	}
+	for id := range d.pools {
+		p := &d.pools[id]
+		if sums[id] != p.used {
+			return fmt.Errorf("kvcache: instance %d used %d != placed sum %d", id, p.used, sums[id])
 		}
 		if p.used > p.capacity || p.used < 0 {
 			return fmt.Errorf("kvcache: instance %d used %d out of [0, %d]", id, p.used, p.capacity)
-		}
-	}
-	for r, pl := range d.placements {
-		for _, s := range pl.shares {
-			if d.pools[s.id].Held(r) != s.n {
-				return fmt.Errorf("kvcache: request %d placement says %d on instance %d, pool says %d", r, s.n, s.id, d.pools[s.id].Held(r))
-			}
-		}
-	}
-	for id, p := range d.pools {
-		for r, n := range p.held {
-			if d.HeldOn(r, id) != n {
-				return fmt.Errorf("kvcache: pool %d holds %d for request %d, placement says %d", id, n, r, d.HeldOn(r, id))
-			}
 		}
 	}
 	return nil

@@ -9,48 +9,47 @@ import (
 )
 
 // newPoolOf builds a distributed pool over instances 0..len(caps)-1.
-func newPoolOf(caps []int) *DistributedPool {
-	m := make(map[InstanceID]int, len(caps))
-	for i, c := range caps {
-		m[InstanceID(i)] = c
-	}
-	return NewDistributedPool(m)
-}
+func newPoolOf(caps []int) *DistributedPool { return NewDistributedPool(caps) }
 
 // spread places n tokens of r across every instance.
-func spread(d *DistributedPool, r RequestID, n int) error {
-	_, err := d.PlaceSpread(r, n, nil)
-	return err
+func spread(d *DistributedPool, r RequestID, n int) error { return d.PlaceSpread(r, n, nil) }
+
+// heldBy returns the tokens r holds across the cluster.
+func heldBy(d *DistributedPool, r RequestID) int {
+	t := 0
+	d.EachPlacement(r, func(_ InstanceID, n int) { t += n })
+	return t
 }
 
 func TestPoolAllocRelease(t *testing.T) {
-	p := NewPool(0, 10)
+	d := NewDistributedPool([]int{10})
+	p := d.Pool(0)
 	if p.Capacity() != 10 || p.Free() != 10 || p.Used() != 0 {
 		t.Fatalf("fresh pool wrong: cap=%d free=%d used=%d", p.Capacity(), p.Free(), p.Used())
 	}
-	if err := p.Alloc(1, 4); err != nil {
+	if err := d.AllocAt(1, 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Alloc(2, 6); err != nil {
+	if err := d.AllocAt(2, 0, 6); err != nil {
 		t.Fatal(err)
 	}
 	if p.Free() != 0 {
 		t.Fatalf("free %d, want 0", p.Free())
 	}
-	if err := p.Alloc(3, 1); err == nil {
+	if err := d.AllocAt(3, 0, 1); err == nil {
 		t.Fatal("overflow alloc succeeded")
 	}
-	if err := p.Release(1, 2); err != nil {
+	if err := d.ReleaseAt(1, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if p.Held(1) != 2 || p.Free() != 2 {
-		t.Fatalf("after partial release: held=%d free=%d", p.Held(1), p.Free())
+	if d.HeldOn(1, 0) != 2 || p.Free() != 2 {
+		t.Fatalf("after partial release: held=%d free=%d", d.HeldOn(1, 0), p.Free())
 	}
-	if err := p.Release(1, 3); err == nil {
+	if err := d.ReleaseAt(1, 0, 3); err == nil {
 		t.Fatal("over-release succeeded")
 	}
-	if n := p.ReleaseAll(2); n != 6 {
-		t.Fatalf("ReleaseAll freed %d, want 6", n)
+	if n := d.ReleaseRequest(2); n != 6 {
+		t.Fatalf("ReleaseRequest freed %d, want 6", n)
 	}
 	if p.Free() != 8 {
 		t.Fatalf("free %d, want 8", p.Free())
@@ -58,82 +57,49 @@ func TestPoolAllocRelease(t *testing.T) {
 }
 
 func TestPoolZeroAllocNoHold(t *testing.T) {
-	p := NewPool(0, 5)
-	if err := p.Alloc(7, 0); err != nil {
+	d := NewDistributedPool([]int{5})
+	if err := d.AllocAt(7, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Requests()) != 0 {
-		t.Fatal("zero alloc created a holder entry")
+	if len(d.placements) != 0 {
+		t.Fatal("zero alloc created a placement record")
 	}
 }
 
 func TestPoolNegativeAllocRejected(t *testing.T) {
-	p := NewPool(0, 5)
-	if err := p.Alloc(1, -1); err == nil {
+	d := NewDistributedPool([]int{5})
+	if err := d.AllocAt(1, 0, -1); err == nil {
 		t.Fatal("negative alloc accepted")
 	}
-	if err := p.Release(1, -1); err == nil {
+	if err := d.ReleaseAt(1, 0, -1); err == nil {
 		t.Fatal("negative release accepted")
 	}
 }
 
-func TestPoolRequestsSorted(t *testing.T) {
-	p := NewPool(0, 10)
-	for _, id := range []RequestID{5, 1, 3} {
-		if err := p.Alloc(id, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids := p.Requests()
-	if len(ids) != 3 || ids[0] != 1 || ids[1] != 3 || ids[2] != 5 {
-		t.Fatalf("Requests() = %v", ids)
-	}
-}
-
-func TestPlacementBasics(t *testing.T) {
-	pl := Placement{1: 3, 2: 0, 5: 7}
-	if pl.Total() != 10 {
-		t.Fatalf("Total = %d", pl.Total())
-	}
-	ids := pl.Instances()
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 5 {
-		t.Fatalf("Instances = %v", ids)
-	}
-	c := pl.Clone()
-	c[1] = 99
-	if pl[1] != 3 {
-		t.Fatal("Clone shares storage")
-	}
-	pl.Add(Placement{1: 1, 9: 2})
-	if pl[1] != 4 || pl[9] != 2 {
-		t.Fatalf("Add wrong: %v", pl)
-	}
-}
-
 func newTestPool() *DistributedPool {
-	return NewDistributedPool(map[InstanceID]int{0: 10, 1: 10, 2: 10})
+	return NewDistributedPool([]int{10, 10, 10})
 }
 
 // Fig 4 of the paper: six free slots spread across three instances (two
 // each) cannot serve a six-token request under the locality constraint, but
 // the unified distributed pool can.
 func TestFig4FragmentationExample(t *testing.T) {
-	d := NewDistributedPool(map[InstanceID]int{0: 2, 1: 2, 2: 2})
-	if !d.FitsUnified(6, nil) {
-		t.Fatal("unified pool should fit 6 tokens")
+	d := NewDistributedPool([]int{2, 2, 2})
+	for id := InstanceID(0); id < 3; id++ {
+		if f := d.Pool(id).Free(); f >= 6 {
+			t.Fatalf("instance %d has %d free: one instance fits the request", id, f)
+		}
 	}
-	if d.FitsLocal(6, nil) {
-		t.Fatal("locality constraint should NOT fit 6 tokens")
+	if err := d.PlaceSpread(42, 6, nil); err != nil {
+		t.Fatalf("unified placement refused 6 tokens over 6 free slots: %v", err)
 	}
-	pl, err := d.PlaceSpread(42, 6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Total() != 6 {
-		t.Fatalf("placed %d, want 6", pl.Total())
-	}
-	if _, err := d.PlaceSingle(43, 1, nil); err == nil {
-		t.Fatal("pool is full; PlaceSingle should fail")
+	for id := InstanceID(0); id < 3; id++ {
+		if got := d.HeldOn(42, id); got != 2 {
+			t.Fatalf("instance %d holds %d tokens, want 2", id, got)
+		}
+		if err := d.AllocAt(43, id, 1); err == nil {
+			t.Fatalf("pool is full; AllocAt on instance %d should fail", id)
+		}
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -146,17 +112,13 @@ func TestPlaceSpreadMostFreeFirst(t *testing.T) {
 	if err := d.AllocAt(1, 0, 8); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := d.PlaceSpread(2, 12, nil)
-	if err != nil {
+	if err := d.PlaceSpread(2, 12, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Instances 1 and 2 (10 free each) should absorb 10 + 2 or similar; the
-	// least-free instance 0 should receive nothing.
-	if pl[0] != 0 {
-		t.Fatalf("least-free instance received %d tokens: %v", pl[0], pl)
-	}
-	if pl.Total() != 12 {
-		t.Fatalf("total placed %d", pl.Total())
+	// Instance 1 (10 free, lower id than 2) is filled first, then 2; the
+	// least-free instance 0 receives nothing.
+	if d.HeldOn(2, 0) != 0 || d.HeldOn(2, 1) != 10 || d.HeldOn(2, 2) != 2 {
+		t.Fatalf("placement (%d, %d, %d), want (0, 10, 2)", d.HeldOn(2, 0), d.HeldOn(2, 1), d.HeldOn(2, 2))
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -165,7 +127,7 @@ func TestPlaceSpreadMostFreeFirst(t *testing.T) {
 
 func TestPlaceSpreadRejectsWhenFull(t *testing.T) {
 	d := newTestPool()
-	if _, err := d.PlaceSpread(1, 31, nil); err == nil {
+	if err := d.PlaceSpread(1, 31, nil); err == nil {
 		t.Fatal("over-capacity spread succeeded")
 	}
 	if d.TotalUsed() != 0 {
@@ -175,47 +137,31 @@ func TestPlaceSpreadRejectsWhenFull(t *testing.T) {
 
 func TestPlaceSpreadSubset(t *testing.T) {
 	d := newTestPool()
-	pl, err := d.PlaceSpread(1, 15, []InstanceID{0, 1})
-	if err != nil {
+	if err := d.PlaceSpread(1, 15, []InstanceID{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if pl[2] != 0 {
+	if d.HeldOn(1, 2) != 0 {
 		t.Fatal("placement escaped the subset")
 	}
-	if pl[0]+pl[1] != 15 {
-		t.Fatalf("subset placement total %d", pl[0]+pl[1])
-	}
-}
-
-func TestPlaceSingleTightestFit(t *testing.T) {
-	d := newTestPool()
-	if err := d.AllocAt(9, 1, 6); err != nil { // instance 1 has 4 free
-		t.Fatal(err)
-	}
-	id, err := d.PlaceSingle(2, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tightest fit: instance 1 (4 free) over instances 0/2 (10 free).
-	if id != 1 {
-		t.Fatalf("placed on %d, want 1", id)
+	if got := d.HeldOn(1, 0) + d.HeldOn(1, 1); got != 15 {
+		t.Fatalf("subset placement total %d", got)
 	}
 }
 
 func TestHeldByAndRelease(t *testing.T) {
 	d := newTestPool()
-	if _, err := d.PlaceSpread(7, 25, nil); err != nil {
+	if err := d.PlaceSpread(7, 25, nil); err != nil {
 		t.Fatal(err)
 	}
-	if d.HeldBy(7) != 25 {
-		t.Fatalf("HeldBy = %d", d.HeldBy(7))
+	if heldBy(d, 7) != 25 {
+		t.Fatalf("held %d, want 25", heldBy(d, 7))
 	}
 	freed := d.ReleaseRequest(7)
 	if freed != 25 || d.TotalUsed() != 0 {
 		t.Fatalf("freed %d, used %d", freed, d.TotalUsed())
 	}
-	if d.HeldBy(7) != 0 {
-		t.Fatal("HeldBy nonzero after release")
+	if heldBy(d, 7) != 0 {
+		t.Fatal("tokens held after release")
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -230,8 +176,8 @@ func TestReleaseAtPartial(t *testing.T) {
 	if err := d.ReleaseAt(1, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if d.HeldBy(1) != 3 || d.Pool(0).Free() != 7 {
-		t.Fatalf("held %d free %d", d.HeldBy(1), d.Pool(0).Free())
+	if heldBy(d, 1) != 3 || d.Pool(0).Free() != 7 {
+		t.Fatalf("held %d free %d", heldBy(d, 1), d.Pool(0).Free())
 	}
 	if err := d.ReleaseAt(1, 0, 10); err == nil {
 		t.Fatal("over-release accepted")
@@ -246,9 +192,8 @@ func TestMoveTokens(t *testing.T) {
 	if err := d.Move(1, 0, 2, 4); err != nil {
 		t.Fatal(err)
 	}
-	pl := d.Placement(1)
-	if pl[0] != 2 || pl[2] != 4 {
-		t.Fatalf("placement after move: %v", pl)
+	if d.HeldOn(1, 0) != 2 || d.HeldOn(1, 2) != 4 {
+		t.Fatalf("placement after move: %d on 0, %d on 2", d.HeldOn(1, 0), d.HeldOn(1, 2))
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -270,7 +215,7 @@ func TestMoveTokens(t *testing.T) {
 }
 
 func TestFragmentationMetric(t *testing.T) {
-	d := NewDistributedPool(map[InstanceID]int{0: 10, 1: 10})
+	d := NewDistributedPool([]int{10, 10})
 	if d.Fragmentation() != 0.5 {
 		t.Fatalf("even split fragmentation = %v, want 0.5", d.Fragmentation())
 	}
@@ -290,19 +235,50 @@ func TestFragmentationMetric(t *testing.T) {
 
 func TestMaxFreeDeterministicTieBreak(t *testing.T) {
 	d := newTestPool()
-	id, f := d.MaxFree(nil)
-	if id != 0 || f != 10 {
-		t.Fatalf("MaxFree = (%d, %d), want (0, 10)", id, f)
+	id, f, err := d.MaxFree(nil)
+	if err != nil || id != 0 || f != 10 {
+		t.Fatalf("MaxFree = (%d, %d, %v), want (0, 10, nil)", id, f, err)
 	}
 }
 
+// Every operation that names an instance the pool does not have returns
+// the unknown-instance error and changes nothing; none of them panics.
 func TestUnknownInstanceErrors(t *testing.T) {
 	d := newTestPool()
-	if err := d.AllocAt(1, 99, 1); err == nil {
-		t.Fatal("alloc on unknown instance accepted")
+	if err := d.AllocAt(1, 0, 4); err != nil {
+		t.Fatal(err)
 	}
-	if err := d.ReleaseAt(1, 99, 1); err == nil {
-		t.Fatal("release on unknown instance accepted")
+	bad := []InstanceID{0, 3}
+	_, _, maxErr := d.MaxFree(bad)
+	_, totalErr := d.TotalFree(bad)
+	for _, c := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"AllocAt", d.AllocAt(1, 99, 1), "kvcache: unknown instance 99"},
+		{"ReleaseAt", d.ReleaseAt(1, 99, 1), "kvcache: unknown instance 99"},
+		{"Move to an unknown dst", d.Move(1, 0, 3, 2), "kvcache: unknown instance 3"},
+		{"Move from an unknown src", d.Move(1, -1, 0, 0), "kvcache: unknown instance -1"},
+		{"PlaceSpread", d.PlaceSpread(2, 1, bad), "kvcache: unknown instance 3"},
+		{"TotalFree", totalErr, "kvcache: unknown instance 3"},
+		{"MaxFree", maxErr, "kvcache: unknown instance 3"},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("%s: err %v, want %q", c.name, c.err, c.want)
+		}
+	}
+	if d.FitsUnified(0, bad) {
+		t.Error("FitsUnified accepted a subset naming an unknown instance")
+	}
+	if d.Pool(3) != nil || d.Pool(-1) != nil {
+		t.Error("Pool returned a pool for an unknown instance")
+	}
+	if d.HeldOn(1, 0) != 4 || d.TotalUsed() != 4 {
+		t.Fatalf("a rejected operation changed the pool: held %d, used %d", d.HeldOn(1, 0), d.TotalUsed())
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -533,14 +509,14 @@ func TestPropertyPoolInvariantsUnderRandomOps(t *testing.T) {
 func TestPropertySpreadMatchesFits(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		caps := map[InstanceID]int{}
-		for i := 0; i < rng.Intn(4)+1; i++ {
-			caps[InstanceID(i)] = rng.Intn(25)
+		caps := make([]int, rng.Intn(4)+1)
+		for i := range caps {
+			caps[i] = rng.Intn(25)
 		}
 		d := NewDistributedPool(caps)
 		n := int(nRaw % 100)
 		fits := d.FitsUnified(n, nil)
-		_, err := d.PlaceSpread(1, n, nil)
+		err := d.PlaceSpread(1, n, nil)
 		return fits == (err == nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -548,10 +524,12 @@ func TestPropertySpreadMatchesFits(t *testing.T) {
 	}
 }
 
-// The decode hot path allocates one slot per running request per iteration;
-// with slice-backed placements the steady state must not allocate.
+// The decode hot path allocates one slot per running request per
+// iteration, through AllocAt (core and the locality engines) or PlaceSpread
+// (spread engines such as StaticHybrid); the steady state of either must
+// not allocate.
 func TestAllocAtSteadyStateAllocs(t *testing.T) {
-	d := NewDistributedPool(map[InstanceID]int{0: 1 << 20})
+	d := NewDistributedPool([]int{1 << 20, 1 << 20, 1 << 20})
 	if err := d.AllocAt(1, 0, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -564,5 +542,19 @@ func TestAllocAtSteadyStateAllocs(t *testing.T) {
 	}
 	if got := d.HeldOn(1, 0); got != 301 {
 		t.Fatalf("HeldOn = %d, want 301", got)
+	}
+	subset := []InstanceID{1, 2}
+	if err := d.PlaceSpread(2, 100, subset); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := d.PlaceSpread(2, 1, subset); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("PlaceSpread(+1) steady state allocates %.1f objects per call, want 0", avg)
+	}
+	if got := heldBy(d, 2); got != 301 || d.HeldOn(2, 0) != 0 {
+		t.Fatalf("held %d (%d on instance 0), want 301 (0)", got, d.HeldOn(2, 0))
 	}
 }

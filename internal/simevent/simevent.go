@@ -91,12 +91,11 @@ type stagedEvent struct {
 // Sim is a discrete-event simulator instance. It is not safe for concurrent
 // use; all event callbacks run on the goroutine that calls Run.
 type Sim struct {
-	now     Time
-	seq     uint64
-	queue   []*Event // 4-ary min-heap on (at, seq)
-	free    []*Event // recycled events
-	fired   uint64
-	stopped bool
+	now   Time
+	seq   uint64
+	queue []*Event // 4-ary min-heap on (at, seq)
+	free  []*Event // recycled events
+	fired uint64
 
 	// The staged timeline: drivers preload whole workload traces here
 	// (Stage), keeping thousands of future arrivals out of the heap so
@@ -370,9 +369,6 @@ func (s *Sim) Cancel(e *Event) {
 	s.remove(e.index)
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (s *Sim) Stop() { s.stopped = true }
-
 // Step executes the single earliest pending event — merging the heap and
 // the staged timeline on their shared (at, seq) key. It returns false when
 // both are empty.
@@ -409,12 +405,11 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// Run executes events until the queue empties, Stop is called, or MaxEvents
-// is exceeded (in which case it panics, because exceeding the budget means
-// the simulation diverged).
+// Run executes events until the queue empties or MaxEvents is exceeded (in
+// which case it panics, because exceeding the budget means the simulation
+// diverged).
 func (s *Sim) Run() {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		if s.MaxEvents > 0 && s.fired >= s.MaxEvents {
 			panic(fmt.Sprintf("simevent: exceeded MaxEvents=%d at t=%v", s.MaxEvents, s.now))
 		}
@@ -443,9 +438,9 @@ func (s *Sim) Head() (Time, bool) {
 }
 
 // RunBefore executes events with timestamps strictly less than bound,
-// leaving later events queued. Unlike RunUntil it does not move the clock
-// to the bound: a shard that drained its window calls AdvanceTo once the
-// coordinator knows no earlier work remains anywhere in the fleet.
+// leaving later events queued. It does not move the clock to the bound: a
+// shard that drained its window calls AdvanceTo once the coordinator knows
+// no earlier work remains anywhere in the fleet.
 func (s *Sim) RunBefore(bound Time) {
 	for {
 		if s.MaxEvents > 0 && s.fired >= s.MaxEvents {
@@ -473,27 +468,4 @@ func (s *Sim) AdvanceTo(t Time) {
 		panic(fmt.Sprintf("simevent: AdvanceTo(%v) would skip an event at %v", t, h))
 	}
 	s.now = t
-}
-
-// RunUntil executes events with timestamps <= deadline, leaving later events
-// queued and advancing the clock to deadline.
-func (s *Sim) RunUntil(deadline Time) {
-	s.stopped = false
-	for !s.stopped {
-		hasNext := false
-		var next Time
-		if st := s.stageHead(); st != nil {
-			next, hasNext = st.at, true
-		}
-		if len(s.queue) > 0 && (!hasNext || s.queue[0].at < next) {
-			next, hasNext = s.queue[0].at, true
-		}
-		if !hasNext || next > deadline {
-			break
-		}
-		s.Step()
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
 }

@@ -129,70 +129,47 @@ func TestCancelFiredEventIsNoop(t *testing.T) {
 	s.Cancel(e) // must not panic
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		s.At(Time(i), func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if s.Pending() != 2 {
-		t.Fatalf("Pending() = %d, want 2", s.Pending())
-	}
-}
-
-func TestRunResumesAfterStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 4; i++ {
-		s.At(Time(i), func() {
-			count++
-			if count == 2 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	s.Run()
-	if count != 4 {
-		t.Fatalf("count = %d, want 4 after resume", count)
-	}
-}
-
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
+// RunBefore(d+1) then AdvanceTo(d) fires every event at or before d,
+// leaves later ones queued and leaves the clock at d.
+func TestRunBeforeLeavesLaterEvents(t *testing.T) {
 	s := New()
 	var got []Time
-	for _, at := range []Time{5, 10, 15, 20} {
+	for _, at := range []Time{5, 10, 12, 15, 20} {
 		at := at
 		s.At(at, func() { got = append(got, at) })
 	}
-	s.RunUntil(12)
-	if len(got) != 2 || got[0] != 5 || got[1] != 10 {
-		t.Fatalf("got %v, want [5 10]", got)
+	s.RunBefore(12)
+	if len(got) != 2 || got[0] != 5 || got[1] != 10 || s.Now() != 10 {
+		t.Fatalf("RunBefore(12): got %v at %v, want [5 10] at 10", got, s.Now())
 	}
-	if s.Now() != 12 {
-		t.Fatalf("Now() = %v, want 12", s.Now())
+	s.RunBefore(13)
+	s.AdvanceTo(12)
+	if len(got) != 3 || got[2] != 12 || s.Now() != 12 {
+		t.Fatalf("got %v at %v, want [5 10 12] at 12", got, s.Now())
 	}
 	s.Run()
-	if len(got) != 4 {
+	if len(got) != 5 {
 		t.Fatalf("remaining events did not fire: %v", got)
 	}
 }
 
-func TestRunUntilAdvancesClockWithEmptyQueue(t *testing.T) {
+func TestAdvanceToWithEmptyQueue(t *testing.T) {
 	s := New()
-	s.RunUntil(99)
+	s.AdvanceTo(99)
 	if s.Now() != 99 {
 		t.Fatalf("Now() = %v, want 99", s.Now())
 	}
+	s.AdvanceTo(50) // backwards is a no-op
+	if s.Now() != 99 {
+		t.Fatalf("Now() = %v after AdvanceTo(50), want 99", s.Now())
+	}
+	s.At(120, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AdvanceTo skipped a pending event without panicking")
+		}
+	}()
+	s.AdvanceTo(121)
 }
 
 func TestMaxEventsPanics(t *testing.T) {
