@@ -60,6 +60,11 @@ type ContBatch struct {
 	prefillBatch []*serving.Request
 	prefillLens  []int
 
+	// Decode-iteration fusion (Env.FuseDecode): fused is the in-flight
+	// window, if any. See runDecode for when the engine fuses.
+	fuse  bool
+	fused serving.FusedDecode
+
 	// Preemptions counts recompute evictions (instrumentation).
 	Preemptions int
 }
@@ -71,8 +76,12 @@ func (e *ContBatch) Capability() serving.Capability {
 	return serving.Capability{MaxSeqTokens: e.capacity()}
 }
 
-// Load implements serving.LoadReporter.
+// Load implements serving.LoadReporter. A fused decode window materializes
+// its elapsed iterations first, so readers see the exact unfused state.
 func (e *ContBatch) Load() serving.LoadStats {
+	if e.fused.Live() {
+		e.applyFused(e.fused.Sync(e.env.Sim.Now()))
+	}
 	st := serving.LoadStats{Queued: len(e.waiting), Running: len(e.running)}
 	for _, r := range e.running {
 		st.KVTokens += r.KVNow()
@@ -107,6 +116,7 @@ func (e *ContBatch) Name() string { return e.Label }
 // every instance in the cluster.
 func (e *ContBatch) Init(env *serving.Env) error {
 	e.env = env
+	e.fuse = env.FuseDecode
 	e.recompute = make(map[kvcache.RequestID]int)
 	if len(e.Instances) == 0 {
 		for _, inst := range env.Cluster.Instances {
@@ -155,6 +165,10 @@ func (e *ContBatch) capacity() int {
 func (e *ContBatch) Arrive(r *serving.Request) {
 	if r.Tokens()+1 > e.capacity() {
 		panic(&serving.ErrOOM{System: e.Label, Req: r.ID, Tokens: r.Tokens() + 1, Limit: e.capacity()})
+	}
+	if e.fused.Live() {
+		// The arrival breaks the window's empty-queue condition.
+		e.applyFused(e.fused.Fission(e.env.Sim, e.decodeEv))
 	}
 	e.waiting = append(e.waiting, r)
 	e.step()
@@ -283,22 +297,54 @@ func (e *ContBatch) runDecode() {
 		sumKV += r.KVNow()
 	}
 	e.busy = true
+	// Fuse the next K iterations into one event when no scheduler decision
+	// can change between them (see serving.FusedDecode): nothing waits to
+	// be admitted, K ≤ K_fin so no request finishes, and K ≤ ⌊free/bs⌋ so
+	// the preemption check never fires and every allocation succeeds. Only
+	// locality placement fuses; spread placement picks instances by free
+	// space on every iteration.
+	if e.fuse && !e.Spread && len(e.waiting) == 0 {
+		if k := serving.WindowLen(batch, e.freeTokens()/bs); k > 0 {
+			end := e.fused.Launch(e.env.Sim.Now(), k, e.env.CM, bs, sumKV, e.SP, e.TP, e.Masters, e.link)
+			e.env.Sim.ScheduleAt(e.decodeEv, end)
+			return
+		}
+	}
 	d := e.env.CM.DecodeIterTime(bs, sumKV, e.SP, e.TP, e.Masters, e.link)
 	e.env.Sim.ScheduleAfter(e.decodeEv, d)
 }
 
-// decodeDone completes the in-flight decode iteration.
+// decodeDone completes the in-flight decode iteration, or the last one of
+// a fused window.
 func (e *ContBatch) decodeDone() {
-	for _, r := range e.decodeBatch {
-		r.Generated++
-		if err := e.alloc(r, 1); err != nil {
-			// Guaranteed by the pre-check; a failure means accounting
-			// corruption.
-			panic(fmt.Sprintf("%s: decode alloc failed: %v", e.Label, err))
+	if e.fused.Live() {
+		e.applyFused(e.fused.Close())
+	} else {
+		for _, r := range e.decodeBatch {
+			r.Generated++
+			if err := e.alloc(r, 1); err != nil {
+				// Guaranteed by the pre-check; a failure means accounting
+				// corruption.
+				panic(fmt.Sprintf("%s: decode alloc failed: %v", e.Label, err))
+			}
 		}
 	}
 	e.busy = false
 	e.finishAndContinue(e.decodeBatch)
+}
+
+// applyFused materializes n iterations of the fused batch: each request
+// gains n tokens, allocated on the engine's one instance in one call.
+func (e *ContBatch) applyFused(n int) {
+	if n == 0 {
+		return
+	}
+	for _, r := range e.decodeBatch {
+		r.Generated += n
+		if err := e.env.Pool.AllocAt(r.ID, e.Instances[0], n); err != nil {
+			panic(fmt.Sprintf("%s: fused decode alloc failed: %v", e.Label, err))
+		}
+	}
 }
 
 // preemptYoungest evicts the most recently admitted running request,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"loongserve/internal/cluster"
+	"loongserve/internal/serving"
 )
 
 // Decode-iteration fusion: when the engine can prove that the next K decode
@@ -11,7 +12,10 @@ import (
 // until someone needs it. Long steady decodes (the common state of a
 // long-context workload) then cost O(1) events instead of O(output length).
 //
-// Exactness argument. With fusion enabled the engine fuses only when, at
+// The window bookkeeping and the engine-independent half of the exactness
+// argument — window length, boundary times, materialization, fission and
+// the batched close — live in serving.FusedDecode. This file proves the
+// engine half: with fusion enabled the ESP scheduler fuses only when, at
 // launch time:
 //
 //  1. The group is the engine's only live group and the pending queue is
@@ -25,9 +29,7 @@ import (
 //  3. shrinkDecode would keep every instance (each one masters a request
 //     or holds group KV). Interior iterations only add KV to masters, so a
 //     no-op shrink at launch stays a no-op for the whole window.
-//  4. K ≤ K_fin = min over the batch of (OutputLen − Generated): no
-//     request finishes before the fused event, so retireFinished is a no-op
-//     on every interior boundary.
+//  4. K ≤ K_fin: retireFinished is a no-op on every interior boundary.
 //  5. K ≤ K_cap = min over masters m of ⌊Free(m)/assigned(m)⌋: every
 //     interior AllocAt succeeds and ensureDecodeCapacity finds zero deficit
 //     at every interior boundary (after i iterations Free(m) has dropped by
@@ -35,22 +37,10 @@ import (
 //
 // Under 1–5 the unfused engine would execute K identical
 // decodeIterDone→schedule→launchDecode cycles whose only effects are
-// Generated++ and one AllocAt per request per iteration, with iteration i
-// lasting DecodeIterTime(bs, sumKV + i·bs, …). The fused event fires at the
-// sum of those individually-rounded durations; interior boundary times are
-// kept so deferred state materializes on exactly the unfused schedule.
-//
-// The only external entry points into a running engine are Arrive and the
-// read-only reporter interfaces. Arrive fissions the window first
-// (materialize interior boundaries strictly before now, then re-arm the
-// in-flight iteration's boundary as a normal decode event), so the engine
-// an arrival observes is bit-identical to the unfused one. Load
-// materializes lazily without breaking the window. The one divergence
-// window is an arrival landing at the exact nanosecond of an interior
-// boundary: the canonical order is then arrival-first, where the unfused
-// run's order depends on event sequence numbers. With float-fitted
-// durations summed in nanoseconds such ties do not occur in practice, and
-// the fusion identity property tests would catch one if it did.
+// Generated++ and one AllocAt per request per iteration on its master.
+// The only external entry points into a running engine are Arrive, which
+// fissions the window first, and the read-only reporters; Load
+// materializes lazily without breaking the window.
 
 // DecodeFusionStats reports fusion effectiveness for one engine.
 type DecodeFusionStats struct {
@@ -60,7 +50,8 @@ type DecodeFusionStats struct {
 
 // SetDecodeFusion implements serving.DecodeFuser: it enables (or disables)
 // decode-iteration fusion for subsequently launched decode windows.
-// Disabling does not fission an in-flight window.
+// Disabling does not fission an in-flight window. Init also enables fusion
+// when Env.FuseDecode is set.
 func (e *Engine) SetDecodeFusion(on bool) { e.fuseDecode = on }
 
 // FusionStats reports how much decoding ran fused.
@@ -83,21 +74,7 @@ func (e *Engine) fuseEligible(g *group, bs, masters int) int {
 	if !e.shrinkNoop(g) {
 		return 0
 	}
-	kfin := 0
-	for _, r := range g.reqs {
-		if left := r.OutputLen - r.Generated; kfin == 0 || left < kfin {
-			kfin = left
-		}
-	}
-	kcap := e.capIterations(g)
-	k := kfin
-	if kcap < k {
-		k = kcap
-	}
-	if k < 2 {
-		return 0 // a 1-iteration window is just a normal iteration
-	}
-	return k
+	return serving.WindowLen(g.reqs, e.capIterations(g))
 }
 
 // shrinkNoop reports whether shrinkDecode would keep every group instance.
@@ -133,76 +110,46 @@ func (e *Engine) capIterations(g *group) int {
 	return kcap
 }
 
-// launchFused arms one event covering K iterations, storing every interior
-// boundary so deferred state can materialize on the exact unfused schedule.
+// launchFused arms one event covering K iterations.
 func (e *Engine) launchFused(g *group, k, bs, sumKV, masters int, link cluster.Link) {
-	ends := g.fusedEnds[:0]
-	t := e.env.Sim.Now()
-	for i := 0; i < k; i++ {
-		t = t.Add(e.env.CM.DecodeIterTime(bs, sumKV+i*bs, len(g.instances), e.TP, masters, link))
-		ends = append(ends, t)
-	}
-	g.fusedEnds = ends
-	g.fused = true
-	g.fusedDone = 0
+	end := e.fused.Launch(e.env.Sim.Now(), k, e.env.CM, bs, sumKV, len(g.instances), e.TP, masters, link)
 	g.running = true
 	g.inflight = bs
 	if g.decodeEv == nil {
 		g.decodeEv = e.env.Sim.NewEvent(func() { e.decodeIterDone(g) })
 	}
-	e.env.Sim.ScheduleAt(g.decodeEv, ends[k-1])
+	e.env.Sim.ScheduleAt(g.decodeEv, end)
 	e.fusedGroup = g
 	e.fusion.Windows++
 	e.fusion.Iters += k
 }
 
-// applyFused materializes deferred iterations up to boundary index upto
-// (exclusive of nothing: iterations fusedDone..upto-1 are applied). Pool
-// state after a batched AllocAt of n tokens is identical to n single-token
-// allocations — the pool is count-based — so materialization order cannot
-// be observed.
-func (e *Engine) applyFused(g *group, upto int) {
-	delta := upto - g.fusedDone
-	if delta <= 0 {
+// applyFused materializes n deferred iterations of g's in-flight batch:
+// each request gains n tokens, allocated on its master in one call.
+func (e *Engine) applyFused(g *group, n int) {
+	if n == 0 {
 		return
 	}
 	for i, r := range g.reqs[:g.inflight] {
-		r.Generated += delta
-		if err := e.env.Pool.AllocAt(r.ID, g.masters[i], delta); err != nil {
+		r.Generated += n
+		if err := e.env.Pool.AllocAt(r.ID, g.masters[i], n); err != nil {
 			panic(err)
 		}
 	}
-	g.fusedDone = upto
 }
 
-// syncFused brings deferred decode state current for an external reader:
-// every boundary strictly before now has happened.
+// syncFused brings deferred decode state current for an external reader.
 func (e *Engine) syncFused() {
-	g := e.fusedGroup
-	if g == nil {
-		return
+	if g := e.fusedGroup; g != nil {
+		e.applyFused(g, e.fused.Sync(e.env.Sim.Now()))
 	}
-	now := e.env.Sim.Now()
-	j := g.fusedDone
-	for j < len(g.fusedEnds) && g.fusedEnds[j] < now {
-		j++
-	}
-	e.applyFused(g, j)
 }
 
 // fissionFused dissolves an in-flight fused window because the stability
-// conditions are about to break (an arrival). Materialized state is exactly
-// the unfused mid-iteration state; the in-flight iteration's boundary is
-// re-armed as a normal decode event.
+// conditions are about to break (an arrival).
 func (e *Engine) fissionFused() {
-	g := e.fusedGroup
-	if g == nil {
-		return
+	if g := e.fusedGroup; g != nil {
+		e.applyFused(g, e.fused.Fission(e.env.Sim, g.decodeEv))
+		e.fusedGroup = nil
 	}
-	e.syncFused()
-	e.env.Sim.Cancel(g.decodeEv)
-	next := g.fusedEnds[g.fusedDone]
-	g.fused = false
-	e.fusedGroup = nil
-	e.env.Sim.ScheduleAt(g.decodeEv, next)
 }

@@ -116,10 +116,12 @@ type Engine struct {
 
 	tracer *Tracer // optional execution trace (Fig 6 lifecycle)
 
-	// Decode-iteration fusion (fuse.go): enabled via SetDecodeFusion, at
-	// most one group can satisfy the fusion conditions at a time.
+	// Decode-iteration fusion (fuse.go): enabled via SetDecodeFusion or
+	// Env.FuseDecode; at most one group can satisfy the fusion conditions
+	// at a time, and fused is its window.
 	fuseDecode bool
 	fusedGroup *group
+	fused      serving.FusedDecode
 	fusion     DecodeFusionStats
 
 	// Running averages for the Eq 2 gain estimate.
@@ -177,12 +179,6 @@ type group struct {
 	// this prefill iteration.
 	borrowedFrom *group
 
-	// Fused-decode window state (fuse.go): fusedEnds holds the absolute end
-	// time of each iteration in the window; fusedDone counts iterations
-	// already materialized. The slice is reused across windows.
-	fused     bool
-	fusedDone int
-	fusedEnds []simevent.Time
 }
 
 // reqQueue is the pending queue: a ring buffer, so popping the head
@@ -266,6 +262,7 @@ func (e *Engine) Name() string { return e.Label }
 // profiling tools do offline.
 func (e *Engine) Init(env *serving.Env) error {
 	e.env = env
+	e.fuseDecode = e.fuseDecode || env.FuseDecode
 	e.recompute = make(map[kvcache.RequestID]int)
 	n := len(env.Cluster.Instances)
 	if n == 0 {

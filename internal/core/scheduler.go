@@ -586,12 +586,11 @@ func (e *Engine) launchDecode(g *group) {
 // batched request gains one token on its master, finished requests retire,
 // and the scheduler runs.
 func (e *Engine) decodeIterDone(g *group) {
-	if g.fused {
+	if e.fusedGroup == g {
 		// End of a fused window: materialize every remaining iteration
 		// (including this final boundary) and fall through to the normal
 		// completion epilogue.
-		e.applyFused(g, len(g.fusedEnds))
-		g.fused = false
+		e.applyFused(g, e.fused.Close())
 		e.fusedGroup = nil
 	} else {
 		for i, r := range g.reqs[:g.inflight] {

@@ -576,9 +576,10 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 	}
 	rep.stats.Kind = kind.Name
 	rep.env = &serving.Env{
-		Cluster: c,
-		CM:      costmodel.New(c.Model, c.HW),
-		Pool:    c.NewPool(),
+		Cluster:    c,
+		CM:         costmodel.New(c.Model, c.HW),
+		Pool:       c.NewPool(),
+		FuseDecode: g.cfg.FuseDecode,
 	}
 	if g.cfg.Cache == CacheRadix {
 		// Eviction is priced by the replica's own cost model: a block at
@@ -622,11 +623,6 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 	rep.env.Sim = rs
 	rep.buf = &shardBuf{}
 	rep.env.Complete = func(r *serving.Request) { rep.buf.complete(rs.Now(), r) }
-	if g.cfg.FuseDecode {
-		if df, ok := rep.engine.(serving.DecodeFuser); ok {
-			df.SetDecodeFusion(true)
-		}
-	}
 	if g.obsSink != nil {
 		// Engines that can mirror their elastic events pick up the fleet's
 		// sink with this replica's attribution, before Init so nothing is

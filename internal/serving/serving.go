@@ -89,6 +89,11 @@ type Env struct {
 	Pool    *kvcache.DistributedPool
 	// Complete must be called exactly once per finished request.
 	Complete func(*Request)
+	// FuseDecode asks the engine to fuse provably identical consecutive
+	// decode iterations into one simulator event (see FusedDecode). Engines
+	// read it in Init; those that cannot fuse ignore it. Fusion is
+	// observationally exact, so only the simulator event count changes.
+	FuseDecode bool
 }
 
 // Engine is a serving system policy.
@@ -154,12 +159,14 @@ type Traceable interface {
 	AttachObsSink(sink obs.Sink, replica int)
 }
 
-// DecodeFuser is implemented by engines that can collapse provably
-// identical consecutive decode iterations into one simulator event
-// (decode-iteration fusion). Fusion must be observationally exact: request
-// records, load reports and emitted trace events are identical with it on
-// or off — only the simulator event count drops. The fleet layer enables
-// it on every capable replica when Config.FuseDecode is set.
+// DecodeFuser is implemented by engines whose decode-iteration fusion can
+// also be switched after construction, outside Env.FuseDecode: today only
+// the ESP engine (core), whose single-engine drivers and tests use it.
+// Fusion must be observationally exact: request records, load reports and
+// emitted trace events are identical with it on or off — only the
+// simulator event count drops. The fleet layer does not use this
+// interface; it sets Env.FuseDecode on every replica when
+// Config.FuseDecode is set, which the ESP engine and ContBatch honour.
 type DecodeFuser interface {
 	SetDecodeFusion(on bool)
 }
