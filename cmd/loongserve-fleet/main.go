@@ -92,10 +92,10 @@
 // to the serial run at any N — open- or closed-loop, static, faulted or
 // autoscaled — so sharding buys wall-clock time on multi-core hosts,
 // never different results. -fuse-decode collapses provably identical decode
-// iterations of a stable group into one simulator event on replicas whose
-// engine supports it (the LoongServe core); fusion is observationally
-// exact — records, traces, event streams and audits are unchanged, only
-// the simulator event count drops.
+// iterations of a stable batch into one simulator event on replicas whose
+// engine supports it (the LoongServe core and contbatch); fusion is
+// observationally exact — records, traces, event streams and audits are
+// unchanged, only the simulator event count drops.
 //
 // Usage:
 //

@@ -178,7 +178,6 @@ type group struct {
 	// Borrowed instances (Eq 1-2): returned to their decoding group after
 	// this prefill iteration.
 	borrowedFrom *group
-
 }
 
 // reqQueue is the pending queue: a ring buffer, so popping the head

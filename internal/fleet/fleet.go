@@ -105,7 +105,7 @@ const (
 // the pre-composition gateway.
 type Config struct {
 	// Groups is the fleet composition for the heterogeneous entry points
-	// (NewGatewayGroups, RunGroups, RunSessionsGroups). Must be empty for
+	// (NewGatewayGroups, RunSessionsGroups, RunSessionStream). Must be empty for
 	// the legacy Spec-based entry points, which synthesize it.
 	Groups []ReplicaGroup
 
@@ -167,10 +167,12 @@ type Config struct {
 	// construction, for open- and closed-loop feeds, faults, hedging and
 	// fleets that grow or drain mid-run alike. Negative is an error.
 	Shards int
-	// FuseDecode enables decode-iteration fusion on every replica engine
-	// implementing serving.DecodeFuser. Fusion is observationally exact —
-	// records, traces, obs streams and audits are unchanged; only simulator
-	// event counts drop (see core/fuse.go for the proof).
+	// FuseDecode enables decode-iteration fusion on every replica: the
+	// gateway sets serving.Env.FuseDecode, which the ESP engine (core) and
+	// baselines.ContBatch under locality placement honour; other engines
+	// ignore it. Fusion is observationally exact — records, traces, obs
+	// streams and audits are unchanged; only simulator event counts drop
+	// (see serving.FusedDecode for the proof).
 	FuseDecode bool
 
 	// Hedge enables request hedging: a long prefill still unfinished after a
@@ -391,22 +393,12 @@ func (r *Result) GoodputPerCostUnit() float64 {
 // engines simulate only the cache-missed suffix of each prompt — the
 // prefill discount of prefix reuse. Deterministic in the trace and policy.
 //
-// Run is the homogeneous shim over RunGroups: cfg.Replicas clones of spec
-// as a single anonymous kind, bit-identical to the pre-composition fleet.
+// Run is the homogeneous shim over a single-kind composition: cfg.Replicas
+// clones of spec as one anonymous kind, bit-identical to the
+// pre-composition fleet.
 func Run(spec Spec, trace []workload.TimedRequest, cfg Config) (*Result, error) {
 	sim := simevent.New()
 	g, err := NewGateway(spec, cfg, sim)
-	if err != nil {
-		return nil, err
-	}
-	return runTrace(g, sim, trace)
-}
-
-// RunGroups replays a trace against a static heterogeneous fleet built
-// from cfg.Groups — the composition-first spelling of Run.
-func RunGroups(trace []workload.TimedRequest, cfg Config) (*Result, error) {
-	sim := simevent.New()
-	g, err := NewGatewayGroups(cfg, sim)
 	if err != nil {
 		return nil, err
 	}

@@ -9,12 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"loongserve/internal/cluster"
-	"loongserve/internal/core"
-	"loongserve/internal/model"
 	"loongserve/internal/obs"
 	"loongserve/internal/obs/analyze"
-	"loongserve/internal/serving"
 	"loongserve/internal/simevent"
 	"loongserve/internal/workload"
 )
@@ -214,50 +210,6 @@ func TestShardedMatchesLegacyRunner(t *testing.T) {
 				t.Errorf("%s shards=%d: digests %#v, recorded legacy %#v", c.name, n, got, c.want)
 			}
 		}
-	}
-}
-
-// loongFleetConfig builds a 2-replica fleet of real ESP engines — the
-// fusion identity tests need engines that actually fuse.
-func loongFleetConfig() Config {
-	m := model.LWM1MText()
-	hw := cluster.A800()
-	kind := NewKind("loong", Spec{
-		NewEngine: func() serving.Engine { return core.New(2, core.Options{}) },
-		NewCluster: func() (*cluster.Cluster, error) {
-			return cluster.New(m, hw, 1, 4, 2)
-		},
-	})
-	return Config{Groups: []ReplicaGroup{{Kind: kind, Count: 2}}, Policy: NewLeastLoaded()}
-}
-
-// TestDecodeFusionIdentity: with fusion on, every observable output is
-// byte-identical to fusion off — records, stats, obs stream — while the
-// simulator fires strictly fewer events. Checked serial and sharded.
-func TestDecodeFusionIdentity(t *testing.T) {
-	cfg := workload.DefaultSessionConfig()
-	cfg.Sessions = 20
-	cfg.SessionRate = 1
-	cfg.ThinkMean = 2
-	scripts := workload.SessionScripts(cfg, 41)
-
-	for _, shards := range []int{1, 2} {
-		run := func(fuse bool) (*Result, []obs.Event) {
-			return fleetRun{name: "fusion", scripts: scripts, mk: func() Config {
-				c := loongFleetConfig()
-				c.FuseDecode = fuse
-				return c
-			}}.run(t, shards)
-		}
-		plain, pev := run(false)
-		fused, fev := run(true)
-		if fused.SimEvents >= plain.SimEvents {
-			t.Fatalf("shards=%d: fusion fired %d events, plain %d — no event reduction",
-				shards, fused.SimEvents, plain.SimEvents)
-		}
-		// SimEvents legitimately differ; compare everything else.
-		fused.SimEvents = plain.SimEvents
-		requireIdentical(t, "fusion", plain, fused, pev, fev)
 	}
 }
 

@@ -166,50 +166,6 @@ func (d *DistributedPool) TotalUsed() int {
 	return t
 }
 
-// MaxFree returns the largest per-instance free count within subset (all
-// when nil) and the instance achieving it. Ties break toward the lower ID
-// for determinism.
-func (d *DistributedPool) MaxFree(subset []InstanceID) (InstanceID, int, error) {
-	if subset == nil {
-		subset = d.all
-	}
-	best, bestFree := InstanceID(-1), -1
-	for _, id := range subset {
-		p, err := d.pool(id)
-		if err != nil {
-			return -1, -1, err
-		}
-		if f := p.Free(); f > bestFree {
-			best, bestFree = id, f
-		}
-	}
-	return best, bestFree, nil
-}
-
-// FitsUnified reports whether n tokens fit under the unified (token
-// granularity, no locality) discipline within subset: total free >= n.
-// Nothing fits a subset that names an unknown instance.
-func (d *DistributedPool) FitsUnified(n int, subset []InstanceID) bool {
-	free, err := d.TotalFree(subset)
-	return err == nil && free >= n
-}
-
-// Fragmentation returns 1 - maxFree/totalFree over all instances: zero when
-// one instance holds all the free space (no fragmentation), approaching
-// 1-1/m when free space is spread evenly over m instances.
-func (d *DistributedPool) Fragmentation() float64 {
-	total, most := 0, 0
-	for i := range d.pools {
-		f := d.pools[i].Free()
-		total += f
-		most = max(most, f)
-	}
-	if total == 0 {
-		return 0
-	}
-	return 1 - float64(most)/float64(total)
-}
-
 // HeldOn returns the tokens request r holds on one instance.
 func (d *DistributedPool) HeldOn(r RequestID, id InstanceID) int {
 	pl := d.placements[r]

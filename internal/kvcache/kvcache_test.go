@@ -214,33 +214,6 @@ func TestMoveTokens(t *testing.T) {
 	}
 }
 
-func TestFragmentationMetric(t *testing.T) {
-	d := NewDistributedPool([]int{10, 10})
-	if d.Fragmentation() != 0.5 {
-		t.Fatalf("even split fragmentation = %v, want 0.5", d.Fragmentation())
-	}
-	if err := d.AllocAt(1, 1, 10); err != nil { // all free space now on 0
-		t.Fatal(err)
-	}
-	if d.Fragmentation() != 0 {
-		t.Fatalf("single-instance free fragmentation = %v, want 0", d.Fragmentation())
-	}
-	if err := d.AllocAt(2, 0, 10); err != nil { // completely full
-		t.Fatal(err)
-	}
-	if d.Fragmentation() != 0 {
-		t.Fatalf("full pool fragmentation = %v, want 0", d.Fragmentation())
-	}
-}
-
-func TestMaxFreeDeterministicTieBreak(t *testing.T) {
-	d := newTestPool()
-	id, f, err := d.MaxFree(nil)
-	if err != nil || id != 0 || f != 10 {
-		t.Fatalf("MaxFree = (%d, %d, %v), want (0, 10, nil)", id, f, err)
-	}
-}
-
 // Every operation that names an instance the pool does not have returns
 // the unknown-instance error and changes nothing; none of them panics.
 func TestUnknownInstanceErrors(t *testing.T) {
@@ -249,7 +222,6 @@ func TestUnknownInstanceErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []InstanceID{0, 3}
-	_, _, maxErr := d.MaxFree(bad)
 	_, totalErr := d.TotalFree(bad)
 	for _, c := range []struct {
 		name string
@@ -262,14 +234,10 @@ func TestUnknownInstanceErrors(t *testing.T) {
 		{"Move from an unknown src", d.Move(1, -1, 0, 0), "kvcache: unknown instance -1"},
 		{"PlaceSpread", d.PlaceSpread(2, 1, bad), "kvcache: unknown instance 3"},
 		{"TotalFree", totalErr, "kvcache: unknown instance 3"},
-		{"MaxFree", maxErr, "kvcache: unknown instance 3"},
 	} {
 		if c.err == nil || c.err.Error() != c.want {
 			t.Errorf("%s: err %v, want %q", c.name, c.err, c.want)
 		}
-	}
-	if d.FitsUnified(0, bad) {
-		t.Error("FitsUnified accepted a subset naming an unknown instance")
 	}
 	if d.Pool(3) != nil || d.Pool(-1) != nil {
 		t.Error("Pool returned a pool for an unknown instance")
@@ -504,8 +472,8 @@ func TestPropertyPoolInvariantsUnderRandomOps(t *testing.T) {
 	}
 }
 
-// Property: FitsUnified is exactly "total free >= n" and PlaceSpread
-// succeeds iff FitsUnified.
+// Property: PlaceSpread succeeds iff the subset's total free space covers
+// n — unified placement has no locality constraint.
 func TestPropertySpreadMatchesFits(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -515,8 +483,12 @@ func TestPropertySpreadMatchesFits(t *testing.T) {
 		}
 		d := NewDistributedPool(caps)
 		n := int(nRaw % 100)
-		fits := d.FitsUnified(n, nil)
-		err := d.PlaceSpread(1, n, nil)
+		free, err := d.TotalFree(nil)
+		if err != nil {
+			return false
+		}
+		fits := free >= n
+		err = d.PlaceSpread(1, n, nil)
 		return fits == (err == nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
