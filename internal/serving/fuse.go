@@ -51,9 +51,8 @@ import (
 // an idle window. The boundary buffer is reused across windows, so
 // steady-state fusion allocates nothing.
 type FusedDecode struct {
-	ends []simevent.Time
+	ends []simevent.Time // boundaries of the live window; empty when idle
 	done int
-	live bool
 }
 
 // WindowLen returns the window length K = min(K_fin, kcap) for batch, or 0
@@ -71,7 +70,7 @@ func WindowLen(batch []*Request, kcap int) int {
 }
 
 // Live reports whether a window is in flight.
-func (w *FusedDecode) Live() bool { return w.live }
+func (w *FusedDecode) Live() bool { return len(w.ends) > 0 }
 
 // Launch opens a window of k iterations of a bs-request batch holding sumKV
 // resident KV tokens, starting at now, and returns its last boundary: the
@@ -84,7 +83,7 @@ func (w *FusedDecode) Launch(now simevent.Time, k int, cm *costmodel.CostModel, 
 		t = t.Add(cm.DecodeIterTime(bs, sumKV+i*bs, sp, tp, masters, link))
 		ends = append(ends, t)
 	}
-	w.ends, w.done, w.live = ends, 0, true
+	w.ends, w.done = ends, 0
 	return t
 }
 
@@ -92,9 +91,6 @@ func (w *FusedDecode) Launch(now simevent.Time, k int, cm *costmodel.CostModel, 
 // — boundaries strictly before now — and counts them as materialized. The
 // engine applies them. It returns 0 when no window is live.
 func (w *FusedDecode) Sync(now simevent.Time) int {
-	if !w.live {
-		return 0
-	}
 	j := w.done
 	for j < len(w.ends) && w.ends[j] < now {
 		j++
@@ -112,7 +108,7 @@ func (w *FusedDecode) Fission(sim *simevent.Sim, ev *simevent.Event) int {
 	n := w.Sync(sim.Now())
 	sim.Cancel(ev)
 	sim.ScheduleAt(ev, w.ends[w.done])
-	w.live = false
+	w.ends = w.ends[:0]
 	return n
 }
 
@@ -120,6 +116,6 @@ func (w *FusedDecode) Fission(sim *simevent.Sim, ev *simevent.Event) int {
 // still to apply.
 func (w *FusedDecode) Close() int {
 	n := len(w.ends) - w.done
-	w.done, w.live = len(w.ends), false
+	w.ends = w.ends[:0]
 	return n
 }

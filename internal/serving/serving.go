@@ -160,13 +160,11 @@ type Traceable interface {
 }
 
 // DecodeFuser is implemented by engines whose decode-iteration fusion can
-// also be switched after construction, outside Env.FuseDecode: today only
-// the ESP engine (core), whose single-engine drivers and tests use it.
-// Fusion must be observationally exact: request records, load reports and
-// emitted trace events are identical with it on or off — only the
-// simulator event count drops. The fleet layer does not use this
-// interface; it sets Env.FuseDecode on every replica when
-// Config.FuseDecode is set, which the ESP engine and ContBatch honour.
+// be switched after construction: only the ESP engine (core), for
+// single-engine drivers. Fleets set Env.FuseDecode instead. Fusion must be
+// observationally exact: request records, load reports and emitted trace
+// events are identical with it on or off — only the simulator event count
+// drops.
 type DecodeFuser interface {
 	SetDecodeFusion(on bool)
 }
