@@ -80,7 +80,7 @@ func (e *ContBatch) Capability() serving.Capability {
 // its elapsed iterations first, so readers see the exact unfused state.
 func (e *ContBatch) Load() serving.LoadStats {
 	if e.fused.Live() {
-		e.applyFused(e.fused.Sync(e.env.Sim.Now()))
+		e.applyIters(e.fused.Sync(e.env.Sim.Now()))
 	}
 	st := serving.LoadStats{Queued: len(e.waiting), Running: len(e.running)}
 	for _, r := range e.running {
@@ -168,7 +168,7 @@ func (e *ContBatch) Arrive(r *serving.Request) {
 	}
 	if e.fused.Live() {
 		// The arrival breaks the window's empty-queue condition.
-		e.applyFused(e.fused.Fission(e.env.Sim, e.decodeEv))
+		e.applyIters(e.fused.Fission(e.env.Sim, e.decodeEv))
 	}
 	e.waiting = append(e.waiting, r)
 	e.step()
@@ -314,35 +314,30 @@ func (e *ContBatch) runDecode() {
 	e.env.Sim.ScheduleAfter(e.decodeEv, d)
 }
 
-// decodeDone completes the in-flight decode iteration, or the last one of
-// a fused window.
+// decodeDone completes the in-flight decode iteration, or the rest of a
+// fused window.
 func (e *ContBatch) decodeDone() {
+	n := 1
 	if e.fused.Live() {
-		e.applyFused(e.fused.Close())
-	} else {
-		for _, r := range e.decodeBatch {
-			r.Generated++
-			if err := e.alloc(r, 1); err != nil {
-				// Guaranteed by the pre-check; a failure means accounting
-				// corruption.
-				panic(fmt.Sprintf("%s: decode alloc failed: %v", e.Label, err))
-			}
-		}
+		n = e.fused.Close()
 	}
+	e.applyIters(n)
 	e.busy = false
 	e.finishAndContinue(e.decodeBatch)
 }
 
-// applyFused materializes n iterations of the fused batch: each request
-// gains n tokens, allocated on the engine's one instance in one call.
-func (e *ContBatch) applyFused(n int) {
+// applyIters applies n decode iterations to the in-flight batch: each
+// request gains n tokens and their KV slots, in one allocation.
+func (e *ContBatch) applyIters(n int) {
 	if n == 0 {
 		return
 	}
 	for _, r := range e.decodeBatch {
 		r.Generated += n
-		if err := e.env.Pool.AllocAt(r.ID, e.Instances[0], n); err != nil {
-			panic(fmt.Sprintf("%s: fused decode alloc failed: %v", e.Label, err))
+		if err := e.alloc(r, n); err != nil {
+			// Guaranteed by the pre-check (and a fused window's K_cap); a
+			// failure means accounting corruption.
+			panic(fmt.Sprintf("%s: decode alloc failed: %v", e.Label, err))
 		}
 	}
 }

@@ -209,7 +209,7 @@ func TestContBatchDecodeFusionAtBoundaries(t *testing.T) {
 // TestFusedContBatchDecodeAllocatesNothing: a steady-state fused window —
 // launch, a mid-window Load, and the closing event retiring the batch —
 // allocates nothing, because the window's boundary buffer, the batch
-// scratch and the pool's placement records are all reused.
+// buffers and the pool's placement records are all reused.
 func TestFusedContBatchDecodeAllocatesNothing(t *testing.T) {
 	m := model.LWM1MText()
 	hw := cluster.A800()
@@ -248,7 +248,7 @@ func TestFusedContBatchDecodeAllocatesNothing(t *testing.T) {
 			t.Fatalf("window fired %d events and left %d running, want 2 and 0", n, len(e.running))
 		}
 	}
-	window() // grows the boundary buffer and the scratch slices once
+	window() // grows the boundary buffer and the batch buffers once
 	if avg := testing.AllocsPerRun(50, window); avg != 0 {
 		t.Fatalf("fused decode window allocates %.1f objects, want 0", avg)
 	}

@@ -29,11 +29,12 @@ import (
 //     boundary is kept, so deferred state materializes on exactly that
 //     schedule (Launch).
 //  3. Materialization. A reader at time now (Load) sees every boundary
-//     strictly before now as happened and the one at now as pending. Both
-//     drivers fire an arrival or probe before an engine event at the same
-//     instant — serving.Run stages every arrival before the run starts,
-//     so arrivals carry the lowest sequence numbers, and the fleet runner
-//     fires the gateway first — so that is the unfused order (Sync).
+//     strictly before now as happened and the one at now as pending.
+//     serving.Run and the fleet runner both fire an arrival or probe
+//     before an engine event at the same instant — serving.Run stages
+//     every arrival before the run starts, so arrivals carry the lowest
+//     sequence numbers, and the fleet runner fires the gateway first — so
+//     that is the unfused order (Sync).
 //  4. Fission. An arrival breaks the engine's quiescence proof. The engine
 //     first materializes as in 3, then re-arms its decode event at the
 //     in-flight iteration's boundary as a normal one-iteration event, so

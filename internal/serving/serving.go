@@ -161,7 +161,7 @@ type Traceable interface {
 
 // DecodeFuser is implemented by engines whose decode-iteration fusion can
 // be switched after construction: only the ESP engine (core), for
-// single-engine drivers. Fleets set Env.FuseDecode instead. Fusion must be
+// single-engine runs. Fleets set Env.FuseDecode instead. Fusion must be
 // observationally exact: request records, load reports and emitted trace
 // events are identical with it on or off — only the simulator event count
 // drops.
